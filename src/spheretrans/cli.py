@@ -2,10 +2,10 @@
 
 Subcommands: build (construct a family member and write it out),
 verify (run structural checks on a stored complex), transversal
-(exact or greedy hitting set of the facet hypergraph), lemmas (run one
-of the packaged claim checks), report mu (transversal ratio table as
-CSV).  Exit codes: 0 success, 1 failed check or construction error,
-2 usage error.
+(exact hitting set of the facet hypergraph, or greedy with --greedy),
+lemmas (run one of the packaged claim checks), report mu (transversal
+ratio table as CSV, ratios written exactly as p/q).  Exit codes:
+0 success, 1 failed check or construction error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -292,8 +292,8 @@ def _csv_line(row: ReportRow) -> str:
             str(row.tau_lower),
             str(row.tau_upper),
             "true" if row.optimal else "false",
-            f"{float(row.mu_lower):.6f}",
-            f"{float(row.mu_upper):.6f}",
+            str(row.mu_lower),
+            str(row.mu_upper),
             str(row.wall_time_ms),
         ]
     )
@@ -365,9 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_trans = sub.add_parser("transversal", help="transversal of the facet hypergraph")
     p_trans.add_argument("--in", dest="infile", required=True)
-    mode = p_trans.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact solve (default)")
-    mode.add_argument("--greedy", action="store_true", help="greedy cover only")
+    p_trans.add_argument("--greedy", action="store_true", help="greedy cover only")
     p_trans.add_argument("--budget", type=float, default=60.0, help="seconds for exact")
     p_trans.add_argument("--json", action="store_true")
     p_trans.set_defaults(func=_cmd_transversal)

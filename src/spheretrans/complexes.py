@@ -245,14 +245,13 @@ def f_vector(delta: PureComplex, max_faces: int = 10_000_000) -> FVector:
 class PseudomanifoldReport:
     """Outcome of the closed-pseudomanifold check, with witnesses."""
 
-    pure: bool
     ridges_ok: bool
     connected: bool
     bad_ridges: tuple[Face, ...]
 
     @property
     def passed(self) -> bool:
-        return self.pure and self.ridges_ok and self.connected
+        return self.ridges_ok and self.connected
 
     def __bool__(self) -> bool:
         return self.passed
@@ -282,9 +281,7 @@ def is_closed_pseudomanifold(delta: PureComplex) -> PseudomanifoldReport:
                     seen.add(G)
                     stack.append(G)
     connected = len(seen) == len(facets)
-    return PseudomanifoldReport(
-        pure=True, ridges_ok=not bad, connected=connected, bad_ridges=bad
-    )
+    return PseudomanifoldReport(ridges_ok=not bad, connected=connected, bad_ridges=bad)
 
 
 def _gf2_rank(columns: list[int]) -> int:

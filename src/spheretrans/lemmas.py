@@ -106,9 +106,7 @@ def _rsq_candidates(k: int, n: int) -> list[Face]:
     return out
 
 
-def generate_candidates(
-    lemma_id: LemmaId | str, k: int, n: int, m: int | None = None
-) -> list[Face]:
+def generate_candidates(lemma_id: LemmaId | str, k: int, n: int) -> list[Face]:
     """Candidate faces for the face-family checks, ranges verbatim.
 
     CHAIN and BDL have no face candidates and raise InvalidParameters.
@@ -207,7 +205,7 @@ def verify_lemma(
         )
         return LemmaReport(lid, params, checked, tuple(bad), not bad, details)
 
-    cands = generate_candidates(lid, k, n, m)
+    cands = generate_candidates(lid, k, n)
 
     if lid is LemmaId.RSQ_FACETS:
         ball = relative_squeezed_ball(neighborly_antichain(k, n))

@@ -1,12 +1,15 @@
 """Exact and approximate transversal numbers of small hypergraphs.
 
-A transversal (hitting set) meets every edge.  The exact solver is a
-deterministic branch and bound over python-int bitmasks: it seeds with
-the greedy cover, prunes with a greedy matching lower bound, propagates
-unit edges, and branches on the vertex of highest uncovered degree
-(ties to the smallest label).  Instances here come from facet
-hypergraphs with a few hundred edges, where this terminates quickly;
-a wall-clock budget makes the worst case safe.
+A transversal (hitting set) meets every edge.  Greedy cover, matching
+bound and exact solver share one core over python-int bitmasks of the
+sorted labels; the greedy cover and the solver's branching use the same
+rule: take the vertex of highest uncovered degree (ties to the smallest
+label).  The exact solver is a deterministic branch and bound on an
+explicit stack: it seeds with the greedy cover, prunes with the greedy
+matching lower bound, and propagates unit edges.  Instances here come
+from facet hypergraphs with a few hundred edges, where this terminates
+quickly; a wall-clock budget over the whole call makes the worst case
+safe.
 """
 
 from __future__ import annotations
@@ -72,41 +75,59 @@ def is_transversal(h: Hypergraph, t: Iterable[int]) -> bool:
     return all(ts & set(e) for e in h.edges)
 
 
+def _edge_masks(h: Hypergraph) -> list[int]:
+    """Edges as bitmasks over the sorted labels, in edge order."""
+    index = {v: i for i, v in enumerate(h.vertices)}
+    return [sum(1 << index[v] for v in e) for e in h.edges]
+
+
+def _labels(mask: int, labels: tuple[int, ...]) -> frozenset[int]:
+    return frozenset(v for i, v in enumerate(labels) if mask >> i & 1)
+
+
+def _top_vertex(ms: list[int], nv: int) -> int:
+    """Index of the vertex in the most edges of ms, ties to the smallest."""
+    counts = [0] * nv
+    for m in ms:
+        while m:
+            low = m & -m
+            counts[low.bit_length() - 1] += 1
+            m ^= low
+    return max(range(nv), key=counts.__getitem__)
+
+
+def _greedy(ms: list[int], nv: int) -> int:
+    """Mask of the greedy cover: take _top_vertex until every edge is hit."""
+    picked = 0
+    while ms:
+        bit = 1 << _top_vertex(ms, nv)
+        picked |= bit
+        ms = [m for m in ms if not m & bit]
+    return picked
+
+
+def _matching(ms: list[int]) -> int:
+    """Size of a greedy pairwise-disjoint edge collection, in list order."""
+    used = 0
+    count = 0
+    for m in ms:
+        if not m & used:
+            used |= m
+            count += 1
+    return count
+
+
 def greedy_transversal(h: Hypergraph) -> set[int]:
     """Repeatedly take the vertex covering the most uncovered edges
     (ties to the smallest label)."""
-    uncovered = [set(e) for e in h.edges]
-    out: set[int] = set()
-    while uncovered:
-        degree: dict[int, int] = {}
-        for e in uncovered:
-            for v in e:
-                degree[v] = degree.get(v, 0) + 1
-        best = min(degree, key=lambda v: (-degree[v], v))
-        out.add(best)
-        uncovered = [e for e in uncovered if best not in e]
-    return out
+    return set(_labels(_greedy(_edge_masks(h), len(h.vertices)), h.vertices))
 
 
 def matching_lower_bound(h: Hypergraph) -> int:
     """Size of a greedy pairwise-disjoint edge collection, taking edges
     smallest-lexicographic first.  Any transversal needs one vertex per
     matched edge."""
-    used: set[int] = set()
-    count = 0
-    for e in h.edges:
-        if used.isdisjoint(e):
-            used.update(e)
-            count += 1
-    return count
-
-
-class _Timeout(Exception):
-    pass
-
-
-def _popcount(x: int) -> int:
-    return x.bit_count() if hasattr(x, "bit_count") else bin(x).count("1")
+    return _matching(_edge_masks(h))
 
 
 def exact_transversal(
@@ -123,108 +144,65 @@ def exact_transversal(
     ----------
     h : Hypergraph
     time_budget : float
-        Wall-clock seconds before the search gives up.
+        Wall-clock seconds for the whole call, preprocessing included,
+        before the search gives up.
     """
+    deadline = time.monotonic() + time_budget
     if not h.edges:
         return TransversalCertificate(frozenset(), 0, 0, True, 0, False)
 
     labels = h.vertices
-    index = {v: i for i, v in enumerate(labels)}
     nv = len(labels)
-
-    masks = []
-    for e in h.edges:  # already lexicographically sorted
-        m = 0
-        for v in e:
-            m |= 1 << index[v]
-        masks.append(m)
-    # drop edges containing another edge: hitting the minimal ones suffices
-    minimal = []
-    for i, m in enumerate(masks):
-        if not any(m != o and m | o == m for o in masks):
-            minimal.append(m)
-    masks = minimal
-
-    seed = greedy_transversal(h)
-    best_size = len(seed)
-    best_mask = 0
-    for v in seed:
-        best_mask |= 1 << index[v]
-
-    def matching(ms: list[int]) -> int:
-        used = 0
-        c = 0
-        for m in ms:
-            if not m & used:
-                used |= m
-                c += 1
-        return c
-
-    root_lb = matching(masks)
-    nodes = 0
-    timed_out = False
+    masks = _edge_masks(h)
+    best_mask = _greedy(masks, nv)
+    best_size = best_mask.bit_count()
+    root_lb = _matching(masks)
     if root_lb >= best_size:
         return TransversalCertificate(
-            frozenset(seed), best_size, best_size, True, 0, False
+            _labels(best_mask, labels), best_size, best_size, True, 0, False
         )
-
     if time_budget <= 0:
         return TransversalCertificate(
-            frozenset(seed), root_lb, best_size, False, 0, True
+            _labels(best_mask, labels), root_lb, best_size, False, 0, True
         )
-    deadline = time.monotonic() + time_budget
-    check_every = 512
 
-    def dfs(ms: list[int], picked: int, picked_mask: int) -> None:
-        nonlocal nodes, best_size, best_mask
+    check_every = 512
+    nodes = 0
+    timed_out = False
+    # depth first; the "take" child is pushed last so it is searched first
+    stack = [(masks, 0)]
+    while stack:
+        ms, picked = stack.pop()
         nodes += 1
         if nodes % check_every == 0 and time.monotonic() > deadline:
-            raise _Timeout
+            timed_out = True
+            break
         # unit propagation: a one-vertex edge forces that vertex
         while True:
             forced = 0
             for m in ms:
-                if m and not m & (m - 1):
+                if not m & (m - 1):
                     forced |= m
             if not forced:
                 break
-            picked += _popcount(forced)
-            picked_mask |= forced
+            picked |= forced
             ms = [m for m in ms if not m & forced]
+        size = picked.bit_count()
         if not ms:
-            if picked < best_size:
-                best_size = picked
-                best_mask = picked_mask
-            return
-        if picked + matching(ms) >= best_size:
-            return
-        counts = [0] * nv
-        for m in ms:
-            while m:
-                low = m & -m
-                counts[low.bit_length() - 1] += 1
-                m ^= low
-        v = max(range(nv), key=lambda i: (counts[i], -i))
-        bit = 1 << v
-        dfs([m for m in ms if not m & bit], picked + 1, picked_mask | bit)
-        without = []
-        for m in ms:
-            m &= ~bit
-            if not m:
-                return  # some edge lost its last vertex; branch infeasible
-            without.append(m)
-        dfs(without, picked, picked_mask)
+            if size < best_size:
+                best_size = size
+                best_mask = picked
+            continue
+        if size + _matching(ms) >= best_size:
+            continue
+        bit = 1 << _top_vertex(ms, nv)
+        # every edge left has two or more vertices, so none empties here
+        stack.append(([m & ~bit for m in ms], picked))
+        stack.append(([m for m in ms if not m & bit], picked | bit))
 
-    try:
-        dfs(masks, 0, 0)
-        lower = best_size
-    except _Timeout:
-        timed_out = True
-        lower = root_lb
-
-    hitting = frozenset(labels[i] for i in range(nv) if best_mask >> i & 1)
+    lower = root_lb if timed_out else best_size
     return TransversalCertificate(
-        hitting_set=hitting,
+        hitting_set=_labels(best_mask, labels),
         lower_bound=lower,
         upper_bound=best_size,
         optimal=lower == best_size,

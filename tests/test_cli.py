@@ -183,6 +183,9 @@ def test_report_writes_stable_csv(tmp_path, capsys):
         rows = list(csv.DictReader(fh, fieldnames=header.split(",")))
     assert [r["n"] for r in rows] == ["7", "8", "9"]
     assert all(r["tau_upper"] == "2" and r["optimal"] == "true" for r in rows)
+    for r in rows:  # mu is written exactly, as p/q
+        assert Fraction(r["mu_upper"]) == Fraction(int(r["tau_upper"]), int(r["f0"]))
+        assert Fraction(r["mu_lower"]) == Fraction(int(r["tau_lower"]), int(r["f0"]))
     capsys.readouterr()
 
 

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +20,7 @@ from spheretrans import (
     matching_lower_bound,
     transversal_ratio,
 )
+from spheretrans import transversal
 from spheretrans.errors import InvalidParameters, UnknownVertex
 
 
@@ -110,6 +113,46 @@ def test_zero_budget_times_out_but_stays_sound(cs_cache):
     assert cert.timed_out and not cert.optimal
     assert cert.lower_bound <= cert.upper_bound
     assert is_transversal(h, cert.hitting_set)
+
+
+def test_zero_budget_returns_the_greedy_seed_and_matching_bound(cs_cache):
+    # the root bound does not close here, so the certificate is the root's
+    h = facet_hypergraph(cs_sphere(3, 9, cache=cs_cache))
+    cert = exact_transversal(h, time_budget=0)
+    assert cert.lower_bound < cert.upper_bound
+    assert cert.hitting_set == greedy_transversal(h)
+    assert cert.lower_bound == matching_lower_bound(h)
+
+
+def test_budget_covers_the_greedy_seed(monkeypatch, cs_cache):
+    h = facet_hypergraph(cs_sphere(3, 11, cache=cs_cache))
+    assert exact_transversal(h).nodes_explored > 512
+    now = [0.0]
+    monkeypatch.setattr(transversal, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    top_vertex = transversal._top_vertex
+
+    def slow_top_vertex(ms, nv):
+        now[0] = 100.0  # the greedy seed alone outlasts the budget
+        return top_vertex(ms, nv)
+
+    monkeypatch.setattr(transversal, "_top_vertex", slow_top_vertex)
+    cert = exact_transversal(h, time_budget=10.0)
+    assert cert.timed_out and not cert.optimal
+    assert cert.nodes_explored == 512  # stopped at the first deadline check
+    assert is_transversal(h, cert.hitting_set)
+
+
+def test_deep_search_does_not_recurse():
+    triangles = [(3 * i + a, 3 * i + b) for i in range(300) for a, b in ((1, 2), (1, 3), (2, 3))]
+    h = Hypergraph(range(1, 901), triangles)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        cert = exact_transversal(h, time_budget=0.5)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert is_transversal(h, cert.hitting_set)
+    assert cert.lower_bound <= cert.upper_bound == len(cert.hitting_set)
 
 
 def test_odd_cyclic_transversal_is_two():
