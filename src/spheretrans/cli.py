@@ -29,7 +29,7 @@ from .complexes import (
 )
 from .cs_family import cs_ball, cs_sphere, edge_link_sphere
 from .errors import NotCentrallySymmetric
-from .fileio import load_complex, save_complex, dumps_facets, dumps_json
+from .fileio import FORMATS, dumps_complex, load_complex, save_complex
 from .lemmas import LemmaId, verify_lemma
 from .polytopes import cross_boundary, cyclic_boundary, stacked_sphere
 from .squeezed import (
@@ -45,17 +45,6 @@ from .transversal import (
     facet_hypergraph,
     greedy_transversal,
     matching_lower_bound,
-)
-
-FAMILIES = (
-    "cyclic",
-    "cross",
-    "stacked",
-    "squeezed",
-    "relative-squeezed",
-    "cs-delta",
-    "cs-lambda",
-    "sewn",
 )
 
 CHECK_NAMES = ("pseudomanifold", "euler", "betti", "neighborly", "cs", "cs-neighborly")
@@ -80,65 +69,71 @@ def _parse_edge(text: str) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
-def _construct(args) -> tuple[PureComplex, dict]:
-    family = args.family
-    meta = {"family": family}
-    if family == "cyclic":
-        _require(args.d is not None and args.n is not None, "cyclic needs --d and --n")
-        meta.update(d=args.d, n=args.n)
-        return cyclic_boundary(args.d, args.n), meta
-    if family == "cross":
-        _require(args.d is not None, "cross needs --d")
-        meta.update(d=args.d)
-        return cross_boundary(args.d), meta
-    if family == "stacked":
-        _require(args.d is not None and args.n is not None, "stacked needs --d and --n")
-        meta.update(d=args.d, n=args.n)
-        return stacked_sphere(args.d, args.n), meta
-    if family == "squeezed":
-        _require(args.k is not None and args.n is not None, "squeezed needs --k and --n")
-        meta.update(k=args.k, n=args.n)
-        return squeezed_ball(neighborly_antichain(args.k, args.n)), meta
-    if family == "relative-squeezed":
-        _require(
-            args.k is not None and args.n is not None,
-            "relative-squeezed needs --k and --n",
-        )
-        meta.update(k=args.k, n=args.n)
-        return relative_squeezed_sphere(neighborly_antichain(args.k, args.n)), meta
-    if family == "cs-delta":
-        _require(args.d is not None and args.n is not None, "cs-delta needs --d and --n")
-        meta.update(d=args.d, n=args.n)
-        if args.i is not None:
-            meta.update(i=args.i)
-            return cs_ball(args.d, args.i, args.n), meta
-        return cs_sphere(args.d, args.n), meta
-    if family == "cs-lambda":
-        _require(
-            args.k is not None and args.n is not None and args.edge is not None,
-            'cs-lambda needs --k, --n and --edge "a b"',
-        )
-        edge = _parse_edge(args.edge)
-        meta.update(k=args.k, n=args.n, edge=f"{edge[0]} {edge[1]}")
-        return edge_link_sphere(args.k, args.n, edge), meta
-    if family == "sewn":
-        _require(args.k is not None and args.n is not None, "sewn needs --k and --n")
-        meta.update(k=args.k, n=args.n, apex=args.n + 1)
-        ball = relative_squeezed_ball(sewing_antichain(args.k, args.n))
-        return sew(cyclic_boundary(2 * args.k, args.n), ball, args.n + 1), meta
-    raise UsageError(f"unknown family {family!r}")
+def _cs_delta(d: int, n: int, i: int | None = None) -> tuple[PureComplex, dict]:
+    return (cs_sphere(d, n) if i is None else cs_ball(d, i, n)), {}
+
+
+def _cs_lambda(k: int, n: int, edge: str) -> tuple[PureComplex, dict]:
+    a, b = _parse_edge(edge)
+    return edge_link_sphere(k, n, (a, b)), {"edge": f"{a} {b}"}
+
+
+def _sewn(k: int, n: int) -> tuple[PureComplex, dict]:
+    ball = relative_squeezed_ball(sewing_antichain(k, n))
+    return sew(cyclic_boundary(2 * k, n), ball, n + 1), {"apex": n + 1}
+
+
+# family -> (the flags it takes, in metadata order; a builder that takes
+# them as keywords and returns the complex plus the metadata it adds or
+# rewrites).  Every flag is required except those in OPTIONAL_FLAGS.
+FAMILIES = {
+    "cyclic": (("d", "n"), lambda d, n: (cyclic_boundary(d, n), {})),
+    "cross": (("d",), lambda d: (cross_boundary(d), {})),
+    "stacked": (("d", "n"), lambda d, n: (stacked_sphere(d, n), {})),
+    "squeezed": (("k", "n"), lambda k, n: (squeezed_ball(neighborly_antichain(k, n)), {})),
+    "relative-squeezed": (
+        ("k", "n"),
+        lambda k, n: (relative_squeezed_sphere(neighborly_antichain(k, n)), {}),
+    ),
+    "cs-delta": (("d", "n", "i"), _cs_delta),
+    "cs-lambda": (("k", "n", "edge"), _cs_lambda),
+    "sewn": (("k", "n"), _sewn),
+}
+OPTIONAL_FLAGS = ("i",)
+FLAG_HINTS = {"edge": ' "a b"'}
+# report sweeps n and passes no edge
+REPORT_FAMILIES = tuple(
+    name for name, (takes, _) in FAMILIES.items() if "n" in takes and "edge" not in takes
+)
+
+
+def _construct(family: str, **flags) -> tuple[PureComplex, dict]:
+    """Build a member of the family from the flags given (None means
+    absent); the metadata is the family, then each flag in table order."""
+    takes, builder = FAMILIES[family]
+    given = {f: v for f, v in flags.items() if v is not None}
+    unused = [f"--{f}" for f in given if f not in takes]
+    _require(not unused, f"{family} does not take {', '.join(unused)}")
+    required = [f for f in takes if f not in OPTIONAL_FLAGS]
+    if any(f not in given for f in required):
+        needs = [f"--{f}{FLAG_HINTS.get(f, '')}" for f in required]
+        listed = ", ".join(needs[:-1]) + " and " + needs[-1] if needs[1:] else needs[0]
+        raise UsageError(f"{family} needs {listed}")
+    delta, rewritten = builder(**given)
+    meta = {"family": family, **{f: given[f] for f in takes if f in given}}
+    meta.update(rewritten)
+    return delta, meta
 
 
 def _cmd_build(args) -> int:
-    delta, meta = _construct(args)
+    delta, meta = _construct(
+        args.family, d=args.d, n=args.n, k=args.k, i=args.i, edge=args.edge
+    )
     if args.out:
-        save_complex(delta, args.out, fmt=args.format, metadata=meta)
+        save_complex(delta, args.out, args.format, meta)
         print(f"wrote {len(delta)} facets to {args.out}")
     else:
-        text = (
-            dumps_json(delta, meta) if args.format == "json" else dumps_facets(delta, meta)
-        )
-        sys.stdout.write(text)
+        sys.stdout.write(dumps_complex(delta, args.format, meta))
     return 0
 
 
@@ -177,7 +172,7 @@ def _run_check(delta: PureComplex, name: str, k: int | None) -> tuple[bool, str]
         return False, "; ".join(issues)
     if name == "euler":
         chi = f_vector(delta).euler_characteristic
-        expect = 1 + (-1) ** delta.dimension
+        expect = 0 if delta.dimension % 2 else 2
         return chi == expect, f"chi={chi} expected {expect}"
     if name == "betti":
         betti = gf2_betti(delta)
@@ -304,10 +299,7 @@ def _cmd_report(args) -> int:
     rows = []
     for n in range(args.n_from, args.n_to + 1):
         started = time.monotonic()
-        ns = argparse.Namespace(
-            family=args.family, d=args.d, n=n, k=args.k, i=None, edge=None
-        )
-        delta, _ = _construct(ns)
+        delta, _ = _construct(args.family, d=args.d, n=n, k=args.k)
         cert = exact_transversal(facet_hypergraph(delta), time_budget=args.budget)
         elapsed = int(round((time.monotonic() - started) * 1000))
         f0 = delta.vertex_count
@@ -345,13 +337,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--family", required=True, choices=FAMILIES)
     p_build.add_argument("--d", type=int, help="dimension parameter")
     p_build.add_argument("--n", type=int, help="vertex range parameter")
-    p_build.add_argument("--k", type=int, help="pair arity for the squeezed families")
-    p_build.add_argument(
-        "--i", type=int, help="with cs-delta: emit the i-th recursion ball instead"
-    )
-    p_build.add_argument("--edge", help='edge for cs-lambda, e.g. "1 2"')
+    p_build.add_argument("--k", type=int, help="pair arity parameter")
+    p_build.add_argument("--i", type=int, help="emit the i-th recursion ball instead")
+    p_build.add_argument("--edge", help='edge whose link to build, e.g. "1 2"')
     p_build.add_argument("--out", help="output path (default stdout)")
-    p_build.add_argument("--format", choices=("facets", "json"), default="facets")
+    p_build.add_argument("--format", choices=FORMATS, default="facets")
     p_build.set_defaults(func=_cmd_build)
 
     p_verify = sub.add_parser("verify", help="run structural checks on a stored complex")
@@ -381,11 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="tabulate transversal ratios")
     p_rep.add_argument("what", choices=("mu",))
-    p_rep.add_argument(
-        "--family",
-        required=True,
-        choices=("cyclic", "stacked", "squeezed", "relative-squeezed", "cs-delta", "sewn"),
-    )
+    p_rep.add_argument("--family", required=True, choices=REPORT_FAMILIES)
     p_rep.add_argument("--d", type=int)
     p_rep.add_argument("--k", type=int)
     p_rep.add_argument("--n-from", dest="n_from", type=int, required=True)

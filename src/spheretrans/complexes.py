@@ -367,12 +367,6 @@ def is_cs_k_neighborly(delta: PureComplex, k: int) -> bool:
         raise NotCentrallySymmetric("complex is not centrally symmetric")
     if not 1 <= k <= delta.dimension + 1:
         raise InvalidParameters(f"k={k} out of range for dimension {delta.dimension}")
-    present = delta.faces_of_cardinality(k)
-    pool = sorted(delta.vertices)
-    for cand in itertools.combinations(pool, k):
-        s = set(cand)
-        if any(-v in s for v in cand):
-            continue
-        if cand not in present:
-            return False
-    return True
+    # a cs complex has f0/2 antipodal pairs and antipode-free faces, so its
+    # k-faces are among the C(f0/2, k) * 2^k antipode-free k-subsets
+    return len(delta.faces_of_cardinality(k)) == comb(delta.vertex_count // 2, k) * 2**k

@@ -5,7 +5,8 @@ nonblank line is one facet as space-separated sorted signed integers,
 all lines with the same token count, LF endings, facets sorted
 lexicographically.  The JSON mirror wraps the same facet list with a
 small metadata object.  Both loaders validate purity and labels, and
-load(store(x)) == x.
+load(store(x)) == x.  The empty complex has no file form: the writers
+refuse it and the loaders reject a document without facets.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def loads_facets(text: str) -> PureComplex:
         if values != sorted(values):
             raise ValueError(f"line {lineno}: labels must be sorted: {line!r}")
         facets.append(tuple(values))
-    return PureComplex(facets)
+    return _nonempty(PureComplex(facets))
 
 
 def dumps_json(delta: PureComplex, metadata: dict[str, Any] | None = None) -> str:
@@ -65,9 +66,29 @@ def dumps_json(delta: PureComplex, metadata: dict[str, Any] | None = None) -> st
 
 def loads_json(text: str) -> PureComplex:
     payload = json.loads(text)
-    if not isinstance(payload, dict) or "facets" not in payload:
-        raise ValueError("missing 'facets' key")
-    return PureComplex(payload["facets"])
+    if not isinstance(payload, dict) or payload.get("format") != JSON_FORMAT:
+        raise ValueError(f"not a {JSON_FORMAT} document")
+    return _nonempty(PureComplex(payload.get("facets", ())))
+
+
+def _nonempty(delta: PureComplex) -> PureComplex:
+    if delta.is_empty:
+        raise ValueError("document has no facets")
+    return delta
+
+
+FORMATS = {"facets": dumps_facets, "json": dumps_json}
+
+
+def dumps_complex(
+    delta: PureComplex, fmt: str, metadata: dict[str, Any] | None = None
+) -> str:
+    """The text of delta in the named format; refuses the empty complex."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    if delta.is_empty:
+        raise ValueError("refusing to write the empty complex")
+    return FORMATS[fmt](delta, metadata)
 
 
 def load_complex(path: str) -> PureComplex:
@@ -85,11 +106,6 @@ def save_complex(
     fmt: str = "facets",
     metadata: dict[str, Any] | None = None,
 ) -> None:
-    if fmt == "facets":
-        text = dumps_facets(delta, metadata)
-    elif fmt == "json":
-        text = dumps_json(delta, metadata)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    text = dumps_complex(delta, fmt, metadata)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

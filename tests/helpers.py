@@ -1,6 +1,7 @@
 """Shared oracles for the test suite, deliberately independent of the
-package internals: the transversal oracle scans subsets by size and the
-Gale oracle checks the textbook all-pairs condition."""
+package internals: the transversal oracle scans subsets by size, the
+Gale oracle checks the textbook all-pairs condition and the cs
+neighborliness oracle tests every antipode-free subset."""
 
 import itertools
 
@@ -38,5 +39,17 @@ def gale_all_pairs(subset, n):
     for x, y in itertools.combinations(outside, 2):
         between = sum(1 for v in inside if x < v < y)
         if between % 2 == 1:
+            return False
+    return True
+
+
+def cs_neighborly_by_enumeration(facets, k):
+    """Every antipode-free k-subset of the vertices lies in some facet."""
+    facet_sets = [set(f) for f in facets]
+    verts = sorted({v for f in facets for v in f})
+    for cand in itertools.combinations(verts, k):
+        if any(-v in cand for v in cand):
+            continue
+        if not any(set(cand) <= f for f in facet_sets):
             return False
     return True

@@ -4,9 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from spheretrans import cs_sphere, cyclic_boundary, explicit_cs_transversal
+from spheretrans import (
+    EMPTY,
+    cross_boundary,
+    cs_sphere,
+    cyclic_boundary,
+    edge_link_sphere,
+    explicit_cs_transversal,
+    neighborly_antichain,
+    relative_squeezed_ball,
+    relative_squeezed_sphere,
+    sew,
+    sewing_antichain,
+    squeezed_ball,
+    stacked_sphere,
+)
+from spheretrans import cli
 from spheretrans.cli import CSV_HEADER, main
 from spheretrans.fileio import (
+    JSON_FORMAT,
     dumps_facets,
     dumps_json,
     load_complex,
@@ -46,6 +62,18 @@ def test_loads_facets_validation():
         loads_facets("1 2\n1 2 3\n")
     with pytest.raises(ValueError):
         loads_facets("2 1\n")
+    for empty in ("", "  \n\n", "# spheretrans-facets\n# family=cs-delta\n"):
+        with pytest.raises(ValueError):
+            loads_facets(empty)
+
+
+def test_loads_json_validation(sphere):
+    payload = json.loads(dumps_json(sphere))
+    foreign = dict(payload, format="something-else")
+    unlabelled = {k: v for k, v in payload.items() if k != "format"}
+    for bad in (foreign, unlabelled, dict(payload, facets=[]), {"format": JSON_FORMAT}):
+        with pytest.raises(ValueError):
+            loads_json(json.dumps(bad))
 
 
 def test_load_complex_sniffs_both_formats(tmp_path, sphere):
@@ -57,6 +85,9 @@ def test_load_complex_sniffs_both_formats(tmp_path, sphere):
     assert load_complex(str(jpath)) == sphere
     with pytest.raises(ValueError):
         save_complex(sphere, str(fpath), fmt="pickle")
+    with pytest.raises(ValueError):
+        save_complex(EMPTY, str(tmp_path / "empty.facets"))
+    assert not (tmp_path / "empty.facets").exists()
 
 
 def test_build_writes_the_octahedron_family_to_stdout(capsys):
@@ -99,6 +130,16 @@ def test_verify_reports_failures(tmp_path, capsys):
 
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["build", "--family", "cyclic", "--d", "4"]) == 2
+    assert main(["build", "--family", "cs-lambda", "--k", "2", "--n", "6"]) == 2
+    assert '--edge "a b"' in capsys.readouterr().err
+    rc = main(
+        [
+            "report", "mu", "--family", "cyclic", "--d", "4", "--k", "9",
+            "--n-from", "6", "--n-to", "7", "--csv", str(tmp_path / "mu.csv"),
+        ]
+    )
+    assert rc == 2 and "does not take --k" in capsys.readouterr().err
+    assert not (tmp_path / "mu.csv").exists()
     path = str(tmp_path / "x.facets")
     main(["build", "--family", "cross", "--d", "3", "--out", path])
     assert main(["verify", "--in", path, "--checks", "bogus"]) == 2
@@ -111,6 +152,90 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 def test_construction_errors_exit_one(capsys):
     assert main(["build", "--family", "cs-delta", "--d", "3", "--n", "3"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_build_refuses_the_empty_complex(tmp_path, capsys):
+    path = tmp_path / "empty.facets"
+    empty_ball = ["build", "--family", "cs-delta", "--d", "3", "--n", "6", "--i", "-1"]
+    assert main(empty_ball) == 1
+    assert main([*empty_ball, "--out", str(path)]) == 1
+    assert not path.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_rejects_files_without_facets(tmp_path, capsys):
+    for i, text in enumerate(["", " \n\t\n", "# spheretrans-facets\n# i=-1\n"]):
+        path = tmp_path / f"empty{i}.facets"
+        path.write_text(text)
+        assert main(["verify", "--in", str(path), "--checks", "euler"]) == 1
+        assert "PASS" not in capsys.readouterr().out
+
+
+def test_euler_expectation_is_an_integer():
+    assert cli._run_check(cross_boundary(3), "euler", None) == (True, "chi=2 expected 2")
+    assert cli._run_check(cross_boundary(4), "euler", None) == (True, "chi=0 expected 0")
+    assert cli._run_check(EMPTY, "euler", None)[1].endswith("expected 0")
+
+
+# one small member of every build family: its flags, the direct library
+# call that must give the same complex, and whether it is a sphere
+SMALL_FAMILIES = {
+    "cyclic": (["--d", "4", "--n", "7"], lambda: cyclic_boundary(4, 7), True),
+    "cross": (["--d", "3"], lambda: cross_boundary(3), True),
+    "stacked": (["--d", "3", "--n", "7"], lambda: stacked_sphere(3, 7), True),
+    "squeezed": (
+        ["--k", "3", "--n", "9"],
+        lambda: squeezed_ball(neighborly_antichain(3, 9)),
+        False,
+    ),
+    "relative-squeezed": (
+        ["--k", "3", "--n", "9"],
+        lambda: relative_squeezed_sphere(neighborly_antichain(3, 9)),
+        True,
+    ),
+    "cs-delta": (["--d", "3", "--n", "6"], lambda: cs_sphere(3, 6), True),
+    "cs-lambda": (
+        ["--k", "2", "--n", "6", "--edge", "-8 -7"],
+        lambda: edge_link_sphere(2, 6, (-8, -7)),
+        True,
+    ),
+    "sewn": (
+        ["--k", "2", "--n", "8"],
+        lambda: sew(cyclic_boundary(4, 8), relative_squeezed_ball(sewing_antichain(2, 8)), 9),
+        True,
+    ),
+}
+
+
+def test_small_families_cover_the_family_table():
+    assert set(SMALL_FAMILIES) == set(cli.FAMILIES)
+
+
+@pytest.mark.parametrize("family", list(cli.FAMILIES))
+def test_every_family_builds_through_main(family, tmp_path, capsys):
+    flags, direct, is_sphere = SMALL_FAMILIES[family]
+    path = str(tmp_path / f"{family}.facets")
+    assert main(["build", "--family", family, *flags, "--out", path]) == 0
+    assert load_complex(path) == direct()
+    if is_sphere:
+        checks = "pseudomanifold,euler,betti"
+        assert main(["verify", "--in", path, "--checks", checks]) == 0
+    takes, _ = cli.FAMILIES[family]
+    unused = next(f for f in ("d", "k", "i") if f not in takes)
+    assert main(["build", "--family", family, *flags, f"--{unused}", "1"]) == 2
+    assert f"does not take --{unused}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["cross", "cs-lambda"])
+def test_report_refuses_families_it_cannot_sweep(family, tmp_path, capsys):
+    argv = [
+        "report", "mu", "--family", family, "--d", "3", "--k", "2",
+        "--n-from", "6", "--n-to", "7", "--csv", str(tmp_path / "mu.csv"),
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_transversal_exact_output(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import pytest
 
+from helpers import cs_neighborly_by_enumeration
 from spheretrans import (
     EMPTY,
     PureComplex,
     boundary,
     cross_boundary,
+    cs_sphere,
     cyclic_boundary,
     f_vector,
     face,
@@ -235,3 +237,12 @@ def test_cs_neighborliness():
         is_cs_k_neighborly(boundary(simplex([1, 2, 3])), 1)
     with pytest.raises(InvalidParameters):
         is_cs_k_neighborly(OCTAHEDRON, 5)
+
+
+@pytest.mark.parametrize("d, n", [(3, 8), (4, 7)])
+def test_cs_neighborliness_count_matches_enumeration(d, n):
+    sphere = cs_sphere(d, n)
+    assert not is_cs_k_neighborly(sphere, 3)
+    for k in range(1, d + 2):
+        expected = cs_neighborly_by_enumeration(sphere.facets, k)
+        assert is_cs_k_neighborly(sphere, k) == expected
