@@ -68,7 +68,13 @@ def loads_json(text: str) -> PureComplex:
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("format") != JSON_FORMAT:
         raise ValueError(f"not a {JSON_FORMAT} document")
-    return _nonempty(PureComplex(payload.get("facets", ())))
+    facets = payload.get("facets", [])
+    # bool is a subclass of int, so test the exact type: true is no label
+    if not isinstance(facets, list) or not all(
+        isinstance(f, list) and all(type(v) is int for v in f) for f in facets
+    ):
+        raise ValueError("facets must be a list of lists of integer labels")
+    return _nonempty(PureComplex(facets))
 
 
 def _nonempty(delta: PureComplex) -> PureComplex:

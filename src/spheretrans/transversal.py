@@ -1,15 +1,22 @@
 """Exact and approximate transversal numbers of small hypergraphs.
 
 A transversal (hitting set) meets every edge.  Greedy cover, matching
-bound and exact solver share one core over python-int bitmasks of the
-sorted labels; the greedy cover and the solver's branching use the same
-rule: take the vertex of highest uncovered degree (ties to the smallest
-label).  The exact solver is a deterministic branch and bound on an
-explicit stack: it seeds with the greedy cover, prunes with the greedy
-matching lower bound, and propagates unit edges.  Instances here come
-from facet hypergraphs with a few hundred edges, where this terminates
-quickly; a wall-clock budget over the whole call makes the worst case
-safe.
+bound and exact solver share one core over python-int bitsets: each edge
+is a mask over the sorted labels, and its transpose inc[v] is the mask of
+the edge positions that contain vertex v.  A set of edges is then one
+int, the degree of v among the edges R is (inc[v] & R).bit_count(), and
+taking v removes inc[v] from R in one operation.  The greedy cover and
+the solver's branching use the same rule: take the vertex of highest
+degree among the edges not yet hit (ties to the smallest label).
+
+The exact solver is a deterministic branch and bound on an explicit
+stack: it seeds with the greedy cover, prunes with the greedy matching
+lower bound, and propagates unit edges.  Taking a vertex never shrinks an
+edge that is left, so units appear only at the root and in the child
+that excludes the branching vertex, where the same pass that finds the
+vertex also finds them.  Instances here come from facet hypergraphs with
+a few hundred to a few thousand edges, where this terminates quickly; a
+wall-clock budget over the whole call makes the worst case safe.
 """
 
 from __future__ import annotations
@@ -75,59 +82,88 @@ def is_transversal(h: Hypergraph, t: Iterable[int]) -> bool:
     return all(ts & set(e) for e in h.edges)
 
 
-def _edge_masks(h: Hypergraph) -> list[int]:
-    """Edges as bitmasks over the sorted labels, in edge order."""
+def _incidence(h: Hypergraph) -> tuple[list[int], list[int]]:
+    """Edges as bitmasks over the sorted labels, in edge order, and the
+    transpose: bit j of inc[v] is set iff edge j contains vertex v."""
     index = {v: i for i, v in enumerate(h.vertices)}
-    return [sum(1 << index[v] for v in e) for e in h.edges]
+    masks = []
+    inc = [0] * len(h.vertices)
+    for j, e in enumerate(h.edges):
+        bit = 1 << j
+        m = 0
+        for v in e:
+            i = index[v]
+            m |= 1 << i
+            inc[i] |= bit
+        masks.append(m)
+    return masks, inc
 
 
 def _labels(mask: int, labels: tuple[int, ...]) -> frozenset[int]:
     return frozenset(v for i, v in enumerate(labels) if mask >> i & 1)
 
 
-def _top_vertex(ms: list[int], nv: int) -> int:
-    """Index of the vertex in the most edges of ms, ties to the smallest."""
-    counts = [0] * nv
-    for m in ms:
-        while m:
-            low = m & -m
-            counts[low.bit_length() - 1] += 1
-            m ^= low
-    return max(range(nv), key=counts.__getitem__)
+def _top_vertex(inc: list[int], rem: int, live: int) -> tuple[int, int]:
+    """Index of the live vertex in the most edges of rem, ties to the
+    smallest, and the edges of rem with exactly two live vertices."""
+    top = -1
+    best = 0
+    once = twice = thrice = 0
+    for v, edges in enumerate(inc):
+        if not live >> v & 1:
+            continue
+        e = edges & rem
+        thrice |= twice & e
+        twice |= once & e
+        once |= e
+        degree = e.bit_count()
+        if degree > best:
+            best = degree
+            top = v
+    return top, twice & ~thrice
 
 
-def _greedy(ms: list[int], nv: int) -> int:
-    """Mask of the greedy cover: take _top_vertex until every edge is hit."""
+def _greedy(inc: list[int], rem: int) -> int:
+    """Mask of the greedy cover of rem: take _top_vertex until every edge
+    is hit."""
+    live = (1 << len(inc)) - 1
     picked = 0
-    while ms:
-        bit = 1 << _top_vertex(ms, nv)
-        picked |= bit
-        ms = [m for m in ms if not m & bit]
+    while rem:
+        v, _ = _top_vertex(inc, rem, live)
+        picked |= 1 << v
+        rem &= ~inc[v]
     return picked
 
 
-def _matching(ms: list[int]) -> int:
-    """Size of a greedy pairwise-disjoint edge collection, in list order."""
-    used = 0
+def _matching(masks: list[int], inc: list[int], rem: int, live: int, cap: int) -> int:
+    """Size, capped at cap, of a greedy pairwise-disjoint collection of
+    the edges of rem restricted to live, lowest edge first."""
     count = 0
-    for m in ms:
-        if not m & used:
-            used |= m
-            count += 1
+    while rem and count < cap:
+        m = masks[(rem & -rem).bit_length() - 1] & live
+        count += 1
+        while m:
+            low = m & -m
+            m ^= low
+            rem &= ~inc[low.bit_length() - 1]
     return count
 
 
 def greedy_transversal(h: Hypergraph) -> set[int]:
     """Repeatedly take the vertex covering the most uncovered edges
     (ties to the smallest label)."""
-    return set(_labels(_greedy(_edge_masks(h), len(h.vertices)), h.vertices))
+    _, inc = _incidence(h)
+    picked = _greedy(inc, (1 << len(h.edges)) - 1)
+    return set(_labels(picked, h.vertices))
 
 
 def matching_lower_bound(h: Hypergraph) -> int:
     """Size of a greedy pairwise-disjoint edge collection, taking edges
     smallest-lexicographic first.  Any transversal needs one vertex per
     matched edge."""
-    return _matching(_edge_masks(h))
+    masks, inc = _incidence(h)
+    rem, live = (1 << len(masks)) - 1, (1 << len(inc)) - 1
+    return _matching(masks, inc, rem, live, len(masks))
 
 
 def exact_transversal(
@@ -152,11 +188,12 @@ def exact_transversal(
         return TransversalCertificate(frozenset(), 0, 0, True, 0, False)
 
     labels = h.vertices
-    nv = len(labels)
-    masks = _edge_masks(h)
-    best_mask = _greedy(masks, nv)
+    masks, inc = _incidence(h)
+    rem = (1 << len(masks)) - 1
+    live = (1 << len(inc)) - 1
+    best_mask = _greedy(inc, rem)
     best_size = best_mask.bit_count()
-    root_lb = _matching(masks)
+    root_lb = _matching(masks, inc, rem, live, len(masks))
     if root_lb >= best_size:
         return TransversalCertificate(
             _labels(best_mask, labels), best_size, best_size, True, 0, False
@@ -166,39 +203,47 @@ def exact_transversal(
             _labels(best_mask, labels), root_lb, best_size, False, 0, True
         )
 
+    # a one-vertex edge forces its vertex
+    picked = 0
+    for m in masks:
+        if not m & (m - 1):
+            picked |= m
+            rem &= ~inc[m.bit_length() - 1]
     check_every = 512
     nodes = 0
     timed_out = False
-    # depth first; the "take" child is pushed last so it is searched first
-    stack = [(masks, 0)]
+    # A node is (rem, live, picked): the edges not yet hit, the vertices
+    # neither picked nor excluded, and the picked vertices.  Every edge of
+    # rem has two or more live vertices.  Depth first; the "take" child is
+    # pushed last so it is searched first.
+    stack = [(rem, live & ~picked, picked)]
     while stack:
-        ms, picked = stack.pop()
+        rem, live, picked = stack.pop()
         nodes += 1
         if nodes % check_every == 0 and time.monotonic() > deadline:
             timed_out = True
             break
-        # unit propagation: a one-vertex edge forces that vertex
-        while True:
-            forced = 0
-            for m in ms:
-                if not m & (m - 1):
-                    forced |= m
-            if not forced:
-                break
-            picked |= forced
-            ms = [m for m in ms if not m & forced]
         size = picked.bit_count()
-        if not ms:
+        if not rem:
             if size < best_size:
                 best_size = size
                 best_mask = picked
             continue
-        if size + _matching(ms) >= best_size:
+        if size + _matching(masks, inc, rem, live, best_size - size) >= best_size:
             continue
-        bit = 1 << _top_vertex(ms, nv)
-        # every edge left has two or more vertices, so none empties here
-        stack.append(([m & ~bit for m in ms], picked))
-        stack.append(([m for m in ms if not m & bit], picked | bit))
+        v, pairs = _top_vertex(inc, rem, live)
+        bit = 1 << v
+        live &= ~bit
+        # without v, an edge of v with one other live vertex forces that one
+        unit = inc[v] & pairs
+        without_rem, without_picked = rem, picked
+        while unit:
+            u = (masks[(unit & -unit).bit_length() - 1] & live).bit_length() - 1
+            without_picked |= 1 << u
+            without_rem &= ~inc[u]
+            unit &= without_rem
+        stack.append((without_rem, live & ~without_picked, without_picked))
+        stack.append((rem & ~inc[v], live, picked | bit))
 
     lower = root_lb if timed_out else best_size
     return TransversalCertificate(

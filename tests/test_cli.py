@@ -71,7 +71,9 @@ def test_loads_json_validation(sphere):
     payload = json.loads(dumps_json(sphere))
     foreign = dict(payload, format="something-else")
     unlabelled = {k: v for k, v in payload.items() if k != "format"}
-    for bad in (foreign, unlabelled, dict(payload, facets=[]), {"format": JSON_FORMAT}):
+    malformed = [dict(payload, facets=f) for f in (5, [[1, "2"]], [[1, True]])]
+    no_facets = [dict(payload, facets=[]), {"format": JSON_FORMAT}]
+    for bad in (foreign, unlabelled, *no_facets, *malformed):
         with pytest.raises(ValueError):
             loads_json(json.dumps(bad))
 

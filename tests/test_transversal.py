@@ -4,11 +4,14 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from helpers import brute_force_transversal
 from spheretrans import (
     EMPTY,
     Hypergraph,
+    TransversalCertificate,
     cs_sphere,
     cyclic_boundary,
     enumerate_pair_poset,
@@ -107,6 +110,52 @@ def test_exact_matches_brute_force_on_random_hypergraphs():
         assert is_transversal(h, cert.hitting_set)
 
 
+@pytest.mark.parametrize(
+    "build, nodes, hitting_set",
+    [
+        (lambda: cs_sphere(3, 14), 1189, {s * v for v in (2, 6, 7, 10, 11, 14) for s in (1, -1)}),
+        (lambda: cs_sphere(4, 12), 271, {-10, -9, -6, -5, 4, 5, 9, 10}),
+        (lambda: cyclic_boundary(4, 20), 693, {1, 3, 5, 7, 9, 11, 13, 15, 17}),
+    ],
+    ids=["cs-3-14", "cs-4-12", "cyclic-4-20"],
+)
+def test_search_order_and_bounds_are_pinned(build, nodes, hitting_set):
+    # any change to the branching order, the bounds or the propagation moves
+    # the node count or the certificate found first
+    tau = len(hitting_set)
+    assert exact_transversal(facet_hypergraph(build())) == TransversalCertificate(
+        frozenset(hitting_set), tau, tau, True, nodes, False
+    )
+
+
+@hst.composite
+def hypergraphs(draw):
+    """Up to 12 vertices and edges of 1 to 5 vertices, with prefixes of
+    drawn edges added back: nested, singleton and repeated edges."""
+    verts = list(range(1, draw(hst.integers(1, 12)) + 1))
+    edge = hst.lists(hst.sampled_from(verts), min_size=1, max_size=5, unique=True)
+    edges = draw(hst.lists(edge, max_size=14))
+    if edges:
+        prefix = hst.tuples(hst.sampled_from(edges), hst.integers(1, 5))
+        edges += [e[:cut] for e, cut in draw(hst.lists(prefix))]
+    return verts, edges
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hypergraphs())
+def test_solver_properties_on_random_hypergraphs(instance):
+    verts, edges = instance
+    h = Hypergraph(verts, edges)
+    tau, _ = brute_force_transversal(verts, edges)
+    exact = exact_transversal(h)
+    assert exact.optimal and exact.upper_bound == tau
+    for cert in (exact, exact_transversal(h, time_budget=0)):
+        assert is_transversal(h, cert.hitting_set)
+        assert len(cert.hitting_set) == cert.upper_bound
+        assert cert.lower_bound <= tau <= cert.upper_bound
+    assert matching_lower_bound(h) <= tau <= len(greedy_transversal(h))
+
+
 def test_zero_budget_times_out_but_stays_sound(cs_cache):
     h = facet_hypergraph(cs_sphere(3, 9, cache=cs_cache))
     cert = exact_transversal(h, time_budget=0.0)
@@ -131,9 +180,9 @@ def test_budget_covers_the_greedy_seed(monkeypatch, cs_cache):
     monkeypatch.setattr(transversal, "time", SimpleNamespace(monotonic=lambda: now[0]))
     top_vertex = transversal._top_vertex
 
-    def slow_top_vertex(ms, nv):
+    def slow_top_vertex(inc, rem, live):
         now[0] = 100.0  # the greedy seed alone outlasts the budget
-        return top_vertex(ms, nv)
+        return top_vertex(inc, rem, live)
 
     monkeypatch.setattr(transversal, "_top_vertex", slow_top_vertex)
     cert = exact_transversal(h, time_budget=10.0)
