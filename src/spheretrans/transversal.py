@@ -9,14 +9,23 @@ taking v removes inc[v] from R in one operation.  The greedy cover and
 the solver's branching use the same rule: take the vertex of highest
 degree among the edges not yet hit (ties to the smallest label).
 
-The exact solver is a deterministic branch and bound on an explicit
-stack: it seeds with the greedy cover, prunes with the greedy matching
-lower bound, and propagates unit edges.  Taking a vertex never shrinks an
-edge that is left, so units appear only at the root and in the child
-that excludes the branching vertex, where the same pass that finds the
-vertex also finds them.  Instances here come from facet hypergraphs with
-a few hundred to a few thousand edges, where this terminates quickly; a
-wall-clock budget over the whole call makes the worst case safe.
+The search is a deterministic branch and bound on an explicit stack: it
+seeds with the greedy cover, prunes with the greedy matching lower bound,
+and propagates unit edges.  Taking a vertex never shrinks an edge that is
+left, so units appear only at the root and in the child that excludes
+the branching vertex, where the same pass that finds the vertex also
+finds them.
+
+The exact solver wraps that search in a block lower bound: for disjoint
+vertex blocks V_1..V_k, tau(H) >= sum of tau(H[V_i]), with equality for
+the connected components.  A disconnected hypergraph is solved component
+by component.  A connected one whose labels are closed under negation
+(every cs sphere) first solves its blocks of positive and of negative
+labels, and the search of the whole stops as soon as its incumbent
+reaches their sum; on cs 3-spheres with an even n that sum is already
+the greedy cover's size.  A wall-clock budget covers the whole call, and
+a timeout reports the best lower bound proven by then: the root matching,
+the block sum, or the sum over the components.
 """
 
 from __future__ import annotations
@@ -82,13 +91,16 @@ def is_transversal(h: Hypergraph, t: Iterable[int]) -> bool:
     return all(ts & set(e) for e in h.edges)
 
 
-def _incidence(h: Hypergraph) -> tuple[list[int], list[int]]:
-    """Edges as bitmasks over the sorted labels, in edge order, and the
-    transpose: bit j of inc[v] is set iff edge j contains vertex v."""
-    index = {v: i for i, v in enumerate(h.vertices)}
+def _incidence(
+    vertices: tuple[int, ...], edges: Iterable[Face]
+) -> tuple[list[int], list[int]]:
+    """Edges as bitmasks over the labels in `vertices` (sorted), in edge
+    order, and the transpose: bit j of inc[v] is set iff edge j contains
+    vertex v."""
+    index = {v: i for i, v in enumerate(vertices)}
     masks = []
-    inc = [0] * len(h.vertices)
-    for j, e in enumerate(h.edges):
+    inc = [0] * len(vertices)
+    for j, e in enumerate(edges):
         bit = 1 << j
         m = 0
         for v in e:
@@ -99,8 +111,8 @@ def _incidence(h: Hypergraph) -> tuple[list[int], list[int]]:
     return masks, inc
 
 
-def _labels(mask: int, labels: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(v for i, v in enumerate(labels) if mask >> i & 1)
+def _labels(mask: int, labels: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(v for i, v in enumerate(labels) if mask >> i & 1)
 
 
 def _top_vertex(inc: list[int], rem: int, live: int) -> tuple[int, int]:
@@ -152,7 +164,7 @@ def _matching(masks: list[int], inc: list[int], rem: int, live: int, cap: int) -
 def greedy_transversal(h: Hypergraph) -> set[int]:
     """Repeatedly take the vertex covering the most uncovered edges
     (ties to the smallest label)."""
-    _, inc = _incidence(h)
+    _, inc = _incidence(h.vertices, h.edges)
     picked = _greedy(inc, (1 << len(h.edges)) - 1)
     return set(_labels(picked, h.vertices))
 
@@ -161,47 +173,34 @@ def matching_lower_bound(h: Hypergraph) -> int:
     """Size of a greedy pairwise-disjoint edge collection, taking edges
     smallest-lexicographic first.  Any transversal needs one vertex per
     matched edge."""
-    masks, inc = _incidence(h)
+    masks, inc = _incidence(h.vertices, h.edges)
     rem, live = (1 << len(masks)) - 1, (1 << len(inc)) - 1
     return _matching(masks, inc, rem, live, len(masks))
 
 
-def exact_transversal(
-    h: Hypergraph, time_budget: float = 60.0
-) -> TransversalCertificate:
-    """Minimum transversal by branch and bound.
+def _search(
+    masks: list[int], inc: list[int], deadline: float, floor: int = 0, nodes: int = 0
+) -> tuple[int, int, int, bool]:
+    """Branch and bound over every edge of masks.
 
-    Deterministic and sequential: given the same hypergraph the same
-    certificate comes back, whatever the wall clock does short of the
-    budget.  On timeout the certificate carries the best proven bounds
-    and timed_out=True.
-
-    Parameters
-    ----------
-    h : Hypergraph
-    time_budget : float
-        Wall-clock seconds for the whole call, preprocessing included,
-        before the search gives up.
+    floor is a proven lower bound on the answer; the search stops as soon
+    as the incumbent reaches it or the root matching bound.  nodes counts
+    the nodes searched before this call, so the clock is read every 512
+    nodes of the whole solve, and a search entered after the deadline
+    returns the root.  Returns the mask of the best hitting set, the
+    proven lower bound, the running node count and whether the deadline
+    stopped the search.
     """
-    deadline = time.monotonic() + time_budget
-    if not h.edges:
-        return TransversalCertificate(frozenset(), 0, 0, True, 0, False)
-
-    labels = h.vertices
-    masks, inc = _incidence(h)
+    expired = time.monotonic() >= deadline
     rem = (1 << len(masks)) - 1
     live = (1 << len(inc)) - 1
     best_mask = _greedy(inc, rem)
     best_size = best_mask.bit_count()
-    root_lb = _matching(masks, inc, rem, live, len(masks))
-    if root_lb >= best_size:
-        return TransversalCertificate(
-            _labels(best_mask, labels), best_size, best_size, True, 0, False
-        )
-    if time_budget <= 0:
-        return TransversalCertificate(
-            _labels(best_mask, labels), root_lb, best_size, False, 0, True
-        )
+    target = max(floor, _matching(masks, inc, rem, live, len(masks)))
+    if target >= best_size:
+        return best_mask, best_size, nodes, False
+    if expired:
+        return best_mask, target, nodes, True
 
     # a one-vertex edge forces its vertex
     picked = 0
@@ -210,7 +209,6 @@ def exact_transversal(
             picked |= m
             rem &= ~inc[m.bit_length() - 1]
     check_every = 512
-    nodes = 0
     timed_out = False
     # A node is (rem, live, picked): the edges not yet hit, the vertices
     # neither picked nor excluded, and the picked vertices.  Every edge of
@@ -228,6 +226,8 @@ def exact_transversal(
             if size < best_size:
                 best_size = size
                 best_mask = picked
+                if size <= target:
+                    break
             continue
         if size + _matching(masks, inc, rem, live, best_size - size) >= best_size:
             continue
@@ -245,9 +245,106 @@ def exact_transversal(
         stack.append((without_rem, live & ~without_picked, without_picked))
         stack.append((rem & ~inc[v], live, picked | bit))
 
-    lower = root_lb if timed_out else best_size
+    return best_mask, target if timed_out else best_size, nodes, timed_out
+
+
+def _components(masks: list[int]) -> list[int]:
+    """Vertex masks of the connected components of the edges; a single
+    mask as soon as one component holds every vertex on an edge."""
+    covered = 0
+    for m in masks:
+        covered |= m
+    comps: list[int] = []
+    for m in masks:
+        apart = []
+        for c in comps:
+            if c & m:
+                m |= c
+            else:
+                apart.append(c)
+        if m == covered:
+            return [m]
+        comps = apart + [m]
+    return comps
+
+
+def _block(
+    vertices: tuple[int, ...], edges: list[Face], deadline: float, nodes: int
+) -> tuple[tuple[int, ...], int, int, bool]:
+    """_search on the sub-hypergraph with these vertices and edges; the
+    hitting set comes back as labels."""
+    masks, inc = _incidence(vertices, edges)
+    best, lower, nodes, timed_out = _search(masks, inc, deadline, 0, nodes)
+    return _labels(best, vertices), lower, nodes, timed_out
+
+
+def exact_transversal(
+    h: Hypergraph, time_budget: float = 60.0
+) -> TransversalCertificate:
+    """Minimum transversal by branch and bound over vertex blocks.
+
+    For disjoint vertex blocks V_1..V_k, tau(H) >= sum of tau(H[V_i]),
+    since a hitting set meets every edge inside V_i within V_i; for the
+    connected components this is an equality.  So a disconnected
+    hypergraph is solved one component at a time and the hitting sets are
+    joined.  A connected one whose labels are closed under negation first
+    solves the blocks of positive and of negative labels (the negative
+    block reuses the positive one's value when negation maps one onto the
+    other), and the search of the whole stops as soon as its incumbent
+    reaches that sum.  A budget of zero or less returns the greedy seed
+    with the matching bound.
+
+    Deterministic and sequential: given the same hypergraph the same
+    certificate comes back, whatever the wall clock does short of the
+    budget.  On timeout the certificate carries timed_out=True, the
+    incumbent, and the best lower bound proven by then: the sum of the
+    components' own bounds, or else the larger of the root matching and
+    the sum of the sign blocks' bounds.
+
+    Parameters
+    ----------
+    h : Hypergraph
+    time_budget : float
+        Wall-clock seconds for the whole call, preprocessing and blocks
+        included, before the search gives up.
+    """
+    deadline = time.monotonic() + time_budget
+    if not h.edges:
+        return TransversalCertificate(frozenset(), 0, 0, True, 0, False)
+
+    labels = h.vertices
+    masks, inc = _incidence(labels, h.edges)
+    floor = nodes = 0
+    parts = _components(masks)
+    if len(parts) > 1:
+        hitting: set[int] = set()
+        lower, timed_out = 0, False
+        for part in parts:
+            edges = [e for e, m in zip(h.edges, masks) if m & part]
+            t, lb, nodes, out = _block(_labels(part, labels), edges, deadline, nodes)
+            hitting.update(t)
+            lower += lb
+            timed_out |= out
+        return TransversalCertificate(
+            frozenset(hitting), lower, len(hitting), lower == len(hitting), nodes, timed_out
+        )
+    # a zero budget gets the root alone: no block of signs is solved
+    if time_budget > 0 and set(labels) == {-v for v in labels}:
+        plus = [e for e in h.edges if e[0] > 0]
+        minus = [e for e in h.edges if e[-1] < 0]
+        positive = tuple(v for v in labels if v > 0)
+        _, floor, nodes, _ = _block(positive, plus, deadline, nodes)
+        if sorted(tuple(-v for v in reversed(e)) for e in plus) == minus:
+            floor *= 2
+        else:
+            negative = tuple(v for v in labels if v < 0)
+            _, lb, nodes, _ = _block(negative, minus, deadline, nodes)
+            floor += lb
+
+    best_mask, lower, nodes, timed_out = _search(masks, inc, deadline, floor, nodes)
+    best_size = best_mask.bit_count()
     return TransversalCertificate(
-        hitting_set=_labels(best_mask, labels),
+        hitting_set=frozenset(_labels(best_mask, labels)),
         lower_bound=lower,
         upper_bound=best_size,
         optimal=lower == best_size,

@@ -1,9 +1,13 @@
 """Shared oracles for the test suite, deliberately independent of the
-package internals: the transversal oracle scans subsets by size, the
-Gale oracle checks the textbook all-pairs condition and the cs
-neighborliness oracle tests every antipode-free subset."""
+package internals: the transversal oracles scan subsets by size or solve
+the integer program with HiGHS, the Gale oracle checks the textbook
+all-pairs condition and the cs neighborliness oracle tests every
+antipode-free subset."""
 
 import itertools
+
+import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 
 def brute_force_transversal(vertices, edges):
@@ -29,6 +33,34 @@ def brute_force_transversal(vertices, edges):
             if all(m & em for em in masks):
                 return size, frozenset(combo)
     raise AssertionError("unhittable edge set")
+
+
+def milp_transversal(vertices, edges):
+    """Minimum hitting set as the integer program min sum(x) subject to
+    sum(x_v for v in e) >= 1 for every edge e, x binary, solved by
+    scipy.optimize.milp (HiGHS) at zero gap.
+
+    Returns (size, frozenset).  Usable well above brute-force size.
+    """
+    verts = sorted(set(vertices))
+    if not edges:
+        return 0, frozenset()
+    col = {v: j for j, v in enumerate(verts)}
+    a = np.zeros((len(edges), len(verts)))
+    for i, e in enumerate(edges):
+        for v in e:
+            a[i, col[v]] = 1
+    res = milp(
+        c=np.ones(len(verts)),
+        constraints=LinearConstraint(a, lb=1, ub=np.inf),
+        integrality=np.ones(len(verts)),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    assert res.status == 0, f"HiGHS did not prove optimality: {res.message}"
+    chosen = frozenset(v for v, x in zip(verts, res.x) if x > 0.5)
+    assert all(chosen.intersection(e) for e in edges), "HiGHS solution misses an edge"
+    return len(chosen), chosen
 
 
 def gale_all_pairs(subset, n):

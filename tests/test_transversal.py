@@ -1,16 +1,18 @@
 import random
 import sys
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from helpers import brute_force_transversal
+from helpers import brute_force_transversal, milp_transversal
 from spheretrans import (
     EMPTY,
     Hypergraph,
+    PureComplex,
     TransversalCertificate,
     cs_sphere,
     cyclic_boundary,
@@ -122,17 +124,49 @@ def test_exact_matches_brute_force_on_random_hypergraphs():
 def test_search_order_and_bounds_are_pinned(build, nodes, hitting_set):
     # any change to the branching order, the bounds or the propagation moves
     # the node count or the certificate found first
+    h = facet_hypergraph(build())
+    masks, inc = transversal._incidence(h.vertices, h.edges)
+    best, lower, count, timed_out = transversal._search(masks, inc, time.monotonic() + 60)
+    assert set(transversal._labels(best, h.vertices)) == hitting_set
+    assert (lower, count, timed_out) == (len(hitting_set), nodes, False)
+
+
+def disjoint_copies(facets, copies):
+    """Copy j moves label v to sign(v) * (|v| + j * m), m the largest |label|."""
+    m = max(abs(v) for f in facets for v in f)
+    return [tuple(v + j * m if v > 0 else v - j * m for v in f) for j in range(copies) for f in facets]
+
+
+@pytest.mark.parametrize(
+    "build, nodes, hitting_set",
+    [
+        (lambda: cs_sphere(3, 14), 99, {s * v for v in (2, 6, 7, 10, 11, 14) for s in (1, -1)}),
+        (lambda: cs_sphere(4, 12), 67, {-10, -9, -6, -5, 4, 5, 9, 10}),
+        # the floor is tau here and the greedy seed two above it, so the
+        # search runs until its incumbent reaches the floor
+        (lambda: cs_sphere(4, 13), 100, {s * v for v in (5, 6, 10, 11) for s in (1, -1)}),
+        (
+            lambda: PureComplex(disjoint_copies(cs_sphere(3, 9).facets, 3)),
+            615,
+            {-27, -24, -23, -22, -21, -18, -15, -14, -13, -12, -9, -6, -5, -4, -3,
+             5, 6, 9, 14, 15, 18, 23, 24, 27},
+        ),
+    ],
+    ids=["cs-3-14", "cs-4-12", "cs-4-13", "3-copies-cs-3-9"],
+)
+def test_block_bound_certificates_are_pinned(build, nodes, hitting_set):
+    # the sign-class floor (cs spheres) and the component split (copies)
     tau = len(hitting_set)
-    assert exact_transversal(facet_hypergraph(build())) == TransversalCertificate(
+    assert exact_transversal(facet_hypergraph(build()), time_budget=1.0) == TransversalCertificate(
         frozenset(hitting_set), tau, tau, True, nodes, False
     )
 
 
 @hst.composite
-def hypergraphs(draw):
-    """Up to 12 vertices and edges of 1 to 5 vertices, with prefixes of
-    drawn edges added back: nested, singleton and repeated edges."""
-    verts = list(range(1, draw(hst.integers(1, 12)) + 1))
+def hypergraphs(draw, labels=12):
+    """Up to `labels` vertices and edges of 1 to 5 vertices, with prefixes
+    of drawn edges added back: nested, singleton and repeated edges."""
+    verts = list(range(1, draw(hst.integers(1, labels)) + 1))
     edge = hst.lists(hst.sampled_from(verts), min_size=1, max_size=5, unique=True)
     edges = draw(hst.lists(edge, max_size=14))
     if edges:
@@ -141,19 +175,96 @@ def hypergraphs(draw):
     return verts, edges
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(hypergraphs())
-def test_solver_properties_on_random_hypergraphs(instance):
-    verts, edges = instance
+@hst.composite
+def signed_hypergraphs(draw, pairs=6):
+    """Labels +-1..+-k for k <= pairs, so the label set is closed under
+    negation, and edges of 1 to 4 vertices with prefixes added back as in
+    hypergraphs(); then either every edge or some drawn edges come with
+    their negation."""
+    verts = [s * v for v in range(1, draw(hst.integers(1, pairs)) + 1) for s in (1, -1)]
+    edge = hst.lists(hst.sampled_from(verts), min_size=1, max_size=4, unique=True)
+    edges = draw(hst.lists(edge, max_size=10))
+    if edges:
+        prefix = hst.tuples(hst.sampled_from(edges), hst.integers(1, 4))
+        edges += [e[:cut] for e, cut in draw(hst.lists(prefix))]
+        mirrored = edges if draw(hst.booleans()) else draw(hst.lists(hst.sampled_from(edges)))
+        edges += [[-v for v in e] for e in mirrored]
+    return verts, edges
+
+
+@hst.composite
+def disjoint_unions(draw):
+    """Two drawn hypergraphs side by side, the second's labels moved away
+    from zero by 10, which keeps a signed draw closed under negation."""
+    first = hst.one_of(hypergraphs(labels=6), signed_hypergraphs(pairs=3))
+    (va, ea), (vb, eb) = draw(first), draw(signed_hypergraphs(pairs=3))
+
+    def move(v):
+        return v + 10 if v > 0 else v - 10
+
+    return va + [move(v) for v in vb], ea + [[move(v) for v in e] for e in eb]
+
+
+def check_solver_properties(verts, edges):
     h = Hypergraph(verts, edges)
     tau, _ = brute_force_transversal(verts, edges)
     exact = exact_transversal(h)
     assert exact.optimal and exact.upper_bound == tau
-    for cert in (exact, exact_transversal(h, time_budget=0)):
+    root = exact_transversal(h, time_budget=0)
+    for cert in (exact, root):
         assert is_transversal(h, cert.hitting_set)
         assert len(cert.hitting_set) == cert.upper_bound
         assert cert.lower_bound <= tau <= cert.upper_bound
     assert matching_lower_bound(h) <= tau <= len(greedy_transversal(h))
+    # a zero budget returns the root, also when components are split
+    assert root.hitting_set == greedy_transversal(h)
+    assert root.lower_bound == matching_lower_bound(h)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hypergraphs())
+def test_solver_properties_on_random_hypergraphs(instance):
+    check_solver_properties(*instance)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hst.one_of(signed_hypergraphs(), disjoint_unions()))
+# halves that do not mirror: the floor is tau(H[V+]) + 0 = 2 = tau, while
+# twice the positive half would exceed the greedy cover's 3
+@example(([-2, -1, 1, 2], [(-2, -1, 1), (-2, -1, 2), (1,), (2,)]))
+def test_solver_properties_on_signed_and_disconnected_hypergraphs(instance):
+    # reaches the sign-class floor, with and without the mirrored half, and
+    # the component split
+    check_solver_properties(*instance)
+
+
+@pytest.mark.parametrize(
+    "build, tau",
+    [
+        (lambda: cs_sphere(3, 20), 18),
+        (lambda: PureComplex(disjoint_copies(cs_sphere(3, 9).facets, 3)), 24),
+    ],
+    ids=["cs-3-20", "3-copies-cs-3-9"],
+)
+def test_exact_agrees_with_the_milp_oracle(build, tau):
+    h = facet_hypergraph(build())
+    assert milp_transversal(h.vertices, h.edges)[0] == tau
+    cert = exact_transversal(h)
+    assert cert.optimal and cert.upper_bound == tau
+    assert is_transversal(h, cert.hitting_set)
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_positive_block_bound_is_tight_on_even_cs_three_spheres(n, cs_cache):
+    # tau(H) >= tau(H[V+]) + tau(H[V-]); on cs d=3 at even n the two halves
+    # mirror each other and the sum is n - 2, the greedy cover's size
+    h = facet_hypergraph(cs_sphere(3, n, cache=cs_cache))
+    positive = tuple(v for v in h.vertices if v > 0)
+    plus = [e for e in h.edges if e[0] > 0]
+    _, value, _, timed_out = transversal._block(positive, plus, time.monotonic() + 60, 0)
+    assert not timed_out
+    assert value == milp_transversal(positive, plus)[0]
+    assert 2 * value == n - 2 == exact_transversal(h).upper_bound
 
 
 def test_zero_budget_times_out_but_stays_sound(cs_cache):
@@ -179,9 +290,11 @@ def test_budget_covers_the_greedy_seed(monkeypatch, cs_cache):
     now = [0.0]
     monkeypatch.setattr(transversal, "time", SimpleNamespace(monotonic=lambda: now[0]))
     top_vertex = transversal._top_vertex
+    every_edge = (1 << len(h.edges)) - 1
 
     def slow_top_vertex(inc, rem, live):
-        now[0] = 100.0  # the greedy seed alone outlasts the budget
+        if rem == every_edge:
+            now[0] = 100.0  # the greedy seed of the whole search outlasts the budget
         return top_vertex(inc, rem, live)
 
     monkeypatch.setattr(transversal, "_top_vertex", slow_top_vertex)
@@ -191,17 +304,52 @@ def test_budget_covers_the_greedy_seed(monkeypatch, cs_cache):
     assert is_transversal(h, cert.hitting_set)
 
 
+def test_deadline_inside_the_block_stage_keeps_the_block_bound(monkeypatch, cs_cache):
+    h = facet_hypergraph(cs_sphere(3, 11, cache=cs_cache))
+    tau = exact_transversal(h).upper_bound
+    positive = tuple(v for v in h.vertices if v > 0)
+    tau_plus = exact_transversal(Hypergraph(positive, [e for e in h.edges if e[0] > 0])).upper_bound
+    now = [0.0]
+    monkeypatch.setattr(transversal, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    search = transversal._search
+    searched = []
+
+    def slow_search(masks, inc, deadline, floor=0, nodes=0):
+        out = search(masks, inc, deadline, floor, nodes)
+        searched.append(len(masks))
+        now[0] = 100.0  # the block of positive labels uses up the budget
+        return out
+
+    monkeypatch.setattr(transversal, "_search", slow_search)
+    cert = exact_transversal(h, time_budget=10.0)
+    # the mirrored negative block reuses the positive one's value, so the
+    # only other search is the whole one, entered after the deadline
+    assert len(searched) == 2 and searched[0] < searched[1] == len(h.edges)
+    assert cert.timed_out and not cert.optimal
+    assert is_transversal(h, cert.hitting_set)
+    assert cert.hitting_set == greedy_transversal(h)
+    assert cert.lower_bound == 2 * tau_plus > matching_lower_bound(h)
+    assert cert.lower_bound <= tau <= cert.upper_bound
+
+
 def test_deep_search_does_not_recurse():
     triangles = [(3 * i + a, 3 * i + b) for i in range(300) for a, b in ((1, 2), (1, 3), (2, 3))]
     h = Hypergraph(range(1, 901), triangles)
+    masks, inc = transversal._incidence(h.vertices, h.edges)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
         cert = exact_transversal(h, time_budget=0.5)
+        # exact_transversal splits the 300 components; one search of the
+        # whole goes 300 levels deep
+        best, lower, _, _ = transversal._search(masks, inc, time.monotonic() + 0.5)
     finally:
         sys.setrecursionlimit(limit)
     assert is_transversal(h, cert.hitting_set)
     assert cert.lower_bound <= cert.upper_bound == len(cert.hitting_set)
+    assert cert.optimal and cert.upper_bound == 600
+    assert is_transversal(h, transversal._labels(best, h.vertices))
+    assert lower <= 600 <= best.bit_count()
 
 
 def test_odd_cyclic_transversal_is_two():
