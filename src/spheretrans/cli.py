@@ -195,12 +195,16 @@ def _run_check(delta: PureComplex, name: str, k: int | None) -> tuple[bool, str]
 def _cmd_verify(args) -> int:
     checks = _parse_checks(args.checks)
     delta = load_complex(args.infile)
-    all_ok = True
+    results = []
     for name, k in checks:
         label = name if k is None else f"{name}={k}"
         ok, detail = _run_check(delta, name, k)
-        all_ok &= ok
-        print(f"{label:<18} {'PASS' if ok else 'FAIL'}  {detail}")
+        results.append({"name": label, "passed": ok, "detail": detail})
+        if not args.json:
+            print(f"{label:<18} {'PASS' if ok else 'FAIL'}  {detail}")
+    all_ok = all(r["passed"] for r in results)
+    if args.json:
+        print(json.dumps({"checks": results, "passed": all_ok}, indent=2))
     return 0 if all_ok else 1
 
 
@@ -351,6 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma list: pseudomanifold,euler,betti,neighborly=K,cs,cs-neighborly=K",
     )
+    p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_trans = sub.add_parser("transversal", help="transversal of the facet hypergraph")

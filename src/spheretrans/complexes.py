@@ -284,27 +284,23 @@ def is_closed_pseudomanifold(delta: PureComplex) -> PseudomanifoldReport:
     return PseudomanifoldReport(ridges_ok=not bad, connected=connected, bad_ridges=bad)
 
 
-def _gf2_rank(columns: list[int]) -> int:
-    # Gaussian elimination over GF(2); columns are bitmasks of row indices.
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            p = col.bit_length() - 1
-            piv = pivots.get(p)
-            if piv is None:
-                pivots[p] = col
-                rank += 1
-                break
-            col ^= piv
-    return rank
-
-
 def gf2_betti(delta: PureComplex, max_faces: int = 2_000_000) -> tuple[int, ...]:
     """Unreduced Betti numbers (b_0, ..., b_d) over GF(2).
 
-    b_i = dim ker d_i - rank d_{i+1} with d_0 = 0, computed by dense
-    bitmask elimination, so the total face count is guarded.
+    b_i = dim ker d_i - rank d_{i+1} with d_0 = 0.  Each boundary map is
+    brought to column echelon form by the standard reduction: faces in lex
+    order, a column's pivot is its highest row, and a column whose pivot
+    row is taken is added to the owner of that row until its pivot is free
+    or it vanishes; rank d_i is the number of pivots.
+
+    Clearing (Chen and Kerber, "Persistent homology computation with a
+    twist", 2011; Bauer, Kerber and Reininghaus, "Clear and compress",
+    2014): the maps are reduced from d_d down to d_1, and a column of d_i
+    whose face is a pivot row of the reduced d_{i+1} is skipped, because
+    ordering faces by dimension is a filtration and such a column reduces
+    to zero.  Columns are sparse lists of row indices, highest first; a
+    column becomes an int bitmask only while it is being reduced.  Every
+    face is held in memory, so the total face count is guarded.
     """
     if delta.is_empty:
         raise InvalidParameters("Betti numbers of EMPTY are not defined here")
@@ -319,15 +315,26 @@ def gf2_betti(delta: PureComplex, max_faces: int = 2_000_000) -> tuple[int, ...]
         layers.append(layer)
 
     ranks = [0] * (dim + 2)  # ranks[i] = rank of d_i; d_0 and d_{dim+1} are 0
-    for i in range(1, dim + 1):
+    pivots: dict[int, list[int]] = {}  # pivot row -> reduced column
+    for i in range(dim, 0, -1):
+        # the pivot rows of d_{i+1} name the columns of d_i to skip
+        cleared, pivots = pivots, {}
         index = {f: j for j, f in enumerate(layers[i - 1])}
-        cols = []
-        for F in layers[i]:
-            m = 0
-            for k in range(len(F)):
-                m |= 1 << index[F[:k] + F[k + 1:]]
-            cols.append(m)
-        ranks[i] = _gf2_rank(cols)
+        for j, F in enumerate(layers[i]):
+            if j in cleared:
+                continue
+            # dropping a later vertex gives a lex-smaller face, so the rows
+            # come out highest first
+            rows = [index[F[:k] + F[k + 1:]] for k in range(len(F))]
+            if rows[0] in pivots:
+                col = _mask(rows)
+                while col and (low := col.bit_length() - 1) in pivots:
+                    col ^= _mask(pivots[low])
+                if not col:
+                    continue
+                rows = _rows(col)
+            pivots[rows[0]] = rows
+        ranks[i] = len(pivots)
 
     betti = []
     for i in range(dim + 1):
@@ -335,6 +342,22 @@ def gf2_betti(delta: PureComplex, max_faces: int = 2_000_000) -> tuple[int, ...]
         kernel = f_i - ranks[i]
         betti.append(kernel - ranks[i + 1])
     return tuple(betti)
+
+
+def _mask(rows: list[int]) -> int:
+    m = 0
+    for r in rows:
+        m |= 1 << r
+    return m
+
+
+def _rows(mask: int) -> list[int]:
+    rows = []
+    while mask:
+        r = mask.bit_length() - 1
+        rows.append(r)
+        mask ^= 1 << r
+    return rows
 
 
 def sphere_betti_profile(dim: int) -> tuple[int, ...]:

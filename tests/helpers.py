@@ -1,12 +1,15 @@
 """Shared oracles for the test suite, deliberately independent of the
 package internals: the transversal oracles scan subsets by size or solve
 the integer program with HiGHS, the Gale oracle checks the textbook
-all-pairs condition and the cs neighborliness oracle tests every
-antipode-free subset."""
+all-pairs condition, the cs neighborliness oracle tests every
+antipode-free subset and the Betti oracle ranks the full boundary
+matrices densely mod 2.  facet_lists draws small pure complexes as
+plain facet lists."""
 
 import itertools
 
 import numpy as np
+from hypothesis import strategies as hst
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 
@@ -85,3 +88,60 @@ def cs_neighborly_by_enumeration(facets, k):
         if not any(set(cand) <= f for f in facet_sets):
             return False
     return True
+
+
+def gf2_rank_dense(matrix):
+    """Rank over GF(2) of a 0/1 numpy matrix by Gauss-Jordan elimination."""
+    m = np.array(matrix, dtype=bool)
+    rank = 0
+    for c in range(m.shape[1]):
+        if rank == m.shape[0]:
+            break
+        hits = np.nonzero(m[rank:, c])[0]
+        if not len(hits):
+            continue
+        p = rank + hits[0]
+        m[[rank, p]] = m[[p, rank]]
+        others = m[:, c].copy()
+        others[rank] = False
+        m[others] ^= m[rank]
+        rank += 1
+    return rank
+
+
+def gf2_betti_dense(facets):
+    """Unreduced GF(2) Betti numbers (b_0, ..., b_d) of the complex
+    generated by the facets: b_i = f_i - rank d_i - rank d_{i+1}, every
+    boundary matrix built in full and ranked by gf2_rank_dense."""
+    top = max(len(f) for f in facets)
+    layers = [
+        sorted({c for f in facets for c in itertools.combinations(sorted(f), size)})
+        for size in range(1, top + 1)
+    ]
+    ranks = [0] * (top + 1)
+    for i in range(1, top):
+        row = {f: r for r, f in enumerate(layers[i - 1])}
+        d = np.zeros((len(layers[i - 1]), len(layers[i])), dtype=bool)
+        for j, f in enumerate(layers[i]):
+            for v in f:
+                d[row[tuple(u for u in f if u != v)], j] = True
+        ranks[i] = gf2_rank_dense(d)
+    return tuple(len(layers[i]) - ranks[i] - ranks[i + 1] for i in range(top))
+
+
+@hst.composite
+def facet_lists(draw):
+    """Facets of a pure complex on 4 to 7 signed vertices, plus up to the
+    boundaries of two simplices, each drawn on those vertices (glued on,
+    which makes non-manifolds) or on size + 1 fresh ones (a disjoint
+    sphere).  Returns a list of tuples."""
+    pool = [s * v for v in range(1, 10) for s in (1, -1)]
+    verts = draw(hst.lists(hst.sampled_from(pool), min_size=4, max_size=7, unique=True))
+    size = min(draw(hst.integers(1, 5)), len(verts) - 1)
+    cells = hst.lists(hst.sampled_from(verts), min_size=size, max_size=size, unique=True)
+    facets = [tuple(f) for f in draw(hst.lists(cells, min_size=1, max_size=16))]
+    fresh = [v for v in pool if v not in verts][: size + 1]
+    glued = hst.lists(hst.sampled_from(verts), min_size=size + 1, max_size=size + 1, unique=True)
+    for top in draw(hst.lists(hst.one_of(hst.just(fresh), glued), max_size=2)):
+        facets += itertools.combinations(top, size)
+    return facets

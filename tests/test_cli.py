@@ -130,6 +130,27 @@ def test_verify_reports_failures(tmp_path, capsys):
     assert "cs" in out and "FAIL" in out
 
 
+def test_verify_json_reports_every_check(tmp_path, capsys):
+    path = str(tmp_path / "stacked.facets")
+    main(["build", "--family", "stacked", "--d", "3", "--n", "7", "--out", path])
+    capsys.readouterr()
+    assert main(["verify", "--in", path, "--checks", "betti,cs,neighborly=1", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "checks": [
+            {"name": "betti", "passed": True, "detail": "betti=(1, 0, 1) expected (1, 0, 1)"},
+            {"name": "cs", "passed": False, "detail": "not cs"},
+            {"name": "neighborly=1", "passed": True, "detail": "k=1"},
+        ],
+        "passed": False,
+    }
+    assert main(["verify", "--in", path, "--checks", "pseudomanifold,euler", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is True
+    assert [c["name"] for c in payload["checks"]] == ["pseudomanifold", "euler"]
+    assert main(["verify", "--in", path, "--checks", "bogus", "--json"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["build", "--family", "cyclic", "--d", "4"]) == 2
     assert main(["build", "--family", "cs-lambda", "--k", "2", "--n", "6"]) == 2

@@ -1,11 +1,15 @@
-import pytest
+import tracemalloc
 
-from helpers import cs_neighborly_by_enumeration
+import pytest
+from hypothesis import given, settings
+
+from helpers import cs_neighborly_by_enumeration, facet_lists, gf2_betti_dense
 from spheretrans import (
     EMPTY,
     PureComplex,
     boundary,
     cross_boundary,
+    cs_ball,
     cs_sphere,
     cyclic_boundary,
     f_vector,
@@ -18,7 +22,9 @@ from spheretrans import (
     join,
     link,
     negate,
+    neighborly_antichain,
     relative_difference,
+    relative_squeezed_sphere,
     simplex,
     sphere_betti_profile,
     union,
@@ -190,6 +196,44 @@ def test_betti_profiles():
         gf2_betti(EMPTY)
     with pytest.raises(TooLarge):
         gf2_betti(cross_boundary(4), max_faces=5)
+
+
+def _euler_from_betti(betti):
+    return sum((-1) ** i * b for i, b in enumerate(betti))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(facet_lists())
+def test_betti_numbers_match_the_dense_oracle(facets):
+    delta = PureComplex(facets)
+    betti = gf2_betti(delta)
+    assert betti == gf2_betti_dense(delta.facets)
+    assert _euler_from_betti(betti) == f_vector(delta).euler_characteristic
+
+
+def _shifted(delta, by):
+    return PureComplex(tuple(v + by if v > 0 else v - by for v in F) for F in delta.facets)
+
+
+def test_betti_numbers_of_a_ball_and_of_two_disjoint_spheres():
+    ball = cs_ball(3, 1, 9)
+    two_spheres = union(cross_boundary(4), _shifted(cs_sphere(3, 6), 10))
+    assert gf2_betti(ball) == (1, 0, 0, 0)
+    assert gf2_betti(two_spheres) == (2, 0, 0, 2)
+    for delta in (ball, two_spheres, OCTAHEDRON, cs_sphere(4, 8)):
+        assert _euler_from_betti(gf2_betti(delta)) == f_vector(delta).euler_characteristic
+
+
+def test_betti_peak_memory_is_pinned():
+    # 21,758 faces: sparse columns peak near 3 MiB, dense bitmask ones near 7 MiB
+    sphere = relative_squeezed_sphere(neighborly_antichain(4, 22))
+    tracemalloc.start()
+    try:
+        assert gf2_betti(sphere) == (1, 0, 0, 0, 0, 0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_sphere_betti_profile():
