@@ -88,8 +88,8 @@ class PureComplex:
         return sorted(self._facets)
 
     def contains_face(self, f: Iterable[int]) -> bool:
-        """True iff f is contained in some facet (the empty face always is
-        unless that ever matters for EMPTY, which contains it too)."""
+        """True iff f lies in some facet.  The empty face lies in every
+        complex, EMPTY included."""
         fv = set(face(f))
         return any(fv.issubset(F) for F in self._facets) or not fv
 
@@ -230,15 +230,20 @@ def f_vector(delta: PureComplex, max_faces: int = 10_000_000) -> FVector:
 
     Raises TooLarge if the total face count would exceed max_faces.
     """
-    counts = [1]  # the empty face
-    total = 1
+    return FVector((1, *map(len, _face_layers(delta, max_faces, total=1))))
+
+
+def _face_layers(delta: PureComplex, max_faces: int, total: int = 0) -> Iterator[set[Face]]:
+    """Yield the faces of cardinality 1 .. dim+1 one layer at a time, raising
+    TooLarge once total plus their count exceeds max_faces.  A caller that
+    drops each layer before the next (as map does) never holds two at once."""
     for c in range(1, delta.dimension + 2):
-        n_c = len(delta.faces_of_cardinality(c))
-        total += n_c
+        layer = delta.faces_of_cardinality(c)
+        total += len(layer)
         if total > max_faces:
             raise TooLarge(f"face count exceeds {max_faces}")
-        counts.append(n_c)
-    return FVector(tuple(counts))
+        yield layer
+        del layer
 
 
 @dataclass(frozen=True)
@@ -305,14 +310,7 @@ def gf2_betti(delta: PureComplex, max_faces: int = 2_000_000) -> tuple[int, ...]
     if delta.is_empty:
         raise InvalidParameters("Betti numbers of EMPTY are not defined here")
     dim = delta.dimension
-    layers: list[list[Face]] = []
-    total = 0
-    for c in range(1, dim + 2):
-        layer = sorted(delta.faces_of_cardinality(c))
-        total += len(layer)
-        if total > max_faces:
-            raise TooLarge(f"face count exceeds {max_faces}")
-        layers.append(layer)
+    layers = list(map(sorted, _face_layers(delta, max_faces)))
 
     ranks = [0] * (dim + 2)  # ranks[i] = rank of d_i; d_0 and d_{dim+1} are 0
     pivots: dict[int, list[int]] = {}  # pivot row -> reduced column

@@ -54,8 +54,11 @@ class LemmaReport:
     params: dict[str, int]
     candidates_checked: int
     failures: tuple[Face, ...]
-    passed: bool
     details: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def _signed_pair_sets(k: int, n: int) -> list[Face]:
@@ -177,10 +180,7 @@ def verify_lemma(
             Hypergraph(range(1, n + 1), edges), time_budget=time_budget
         )
         bound = (n + 1) // 2 - k + 1
-        passed = cert.lower_bound >= bound
-        failures: tuple[Face, ...] = ()
-        if not passed:
-            failures = (tuple(sorted(cert.hitting_set)),)
+        failures = () if cert.lower_bound >= bound else (tuple(sorted(cert.hitting_set)),)
         details.update(
             bound=bound,
             tau_lower=cert.lower_bound,
@@ -188,7 +188,7 @@ def verify_lemma(
             optimal=cert.optimal,
             edges=len(edges),
         )
-        return LemmaReport(lid, params, len(edges), failures, passed, details)
+        return LemmaReport(lid, params, len(edges), failures, details)
 
     if lid is LemmaId.CHAIN:
         if k < 2:
@@ -203,7 +203,7 @@ def verify_lemma(
             mid_facets=len(mid.facets),
             high_facets=len(high.facets),
         )
-        return LemmaReport(lid, params, checked, tuple(bad), not bad, details)
+        return LemmaReport(lid, params, checked, tuple(bad), details)
 
     cands = generate_candidates(lid, k, n)
 
@@ -217,13 +217,13 @@ def verify_lemma(
             if hits != 1:
                 bad.append(c)
         details["ball_facets"] = len(facet_sets)
-        return LemmaReport(lid, params, len(cands), tuple(bad), not bad, details)
+        return LemmaReport(lid, params, len(cands), tuple(bad), details)
 
     if lid is LemmaId.PN_FACETS:
         allowed = _facets_outside_balls(2 * k - 1, k - 1, n, cache)
         bad = [c for c in cands if c not in allowed]
         details["allowed_facets"] = len(allowed)
-        return LemmaReport(lid, params, len(cands), tuple(bad), not bad, details)
+        return LemmaReport(lid, params, len(cands), tuple(bad), details)
 
     if lid is LemmaId.EVEN_FACETS:
         mm = n + 1 if m is None else m
@@ -233,10 +233,10 @@ def verify_lemma(
         allowed = _facets_outside_balls(2 * k, k - 1, mm, cache)
         bad = [c for c in cands if c not in allowed]
         details["allowed_facets"] = len(allowed)
-        return LemmaReport(lid, params, len(cands), tuple(bad), not bad, details)
+        return LemmaReport(lid, params, len(cands), tuple(bad), details)
 
     # BALL_FACET
     ball = cs_ball(2 * k, k - 1, n, cache=cache)
     bad = [c for c in cands if c not in ball.facets]
     details["ball_facets"] = len(ball.facets)
-    return LemmaReport(lid, params, len(cands), tuple(bad), not bad, details)
+    return LemmaReport(lid, params, len(cands), tuple(bad), details)

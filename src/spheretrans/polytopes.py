@@ -1,7 +1,8 @@
 """Boundary complexes of three classical polytope families.
 
-cyclic_boundary enumerates facets of the cyclic polytope by the Gale
-evenness condition, cross_boundary builds the boundary of the cross
+cyclic_boundary lists the facets of the cyclic polytope as unions of
+pairs {i, i+1} with at most one odd block at each end (Gale's evenness
+condition), cross_boundary builds the boundary of the cross
 polytope on antipodal labels, and stacked_sphere grows a stacked sphere
 by repeated coning.  All vertex labels follow the package convention
 (positive labels 1..n, antipodes negative).
@@ -13,38 +14,26 @@ import itertools
 
 from .complexes import PureComplex
 from .errors import InvalidParameters, TooFewVertices
-
-
-def _gale_even(subset: tuple[int, ...], n: int) -> bool:
-    # Evenness between consecutive non-elements suffices: the count
-    # between an arbitrary pair is a sum of these gap counts.
-    inside = set(subset)
-    prev = None
-    run = 0
-    for v in range(1, n + 1):
-        if v in inside:
-            run += 1
-        else:
-            if prev is not None and run % 2 == 1:
-                return False
-            prev = v
-            run = 0
-    return True
+from .squeezed import _pair_unions
 
 
 def cyclic_boundary(d: int, n: int) -> PureComplex:
     """Boundary complex of the cyclic d-polytope on vertices 1..n.
 
-    Facets are the d-subsets satisfying the Gale evenness condition:
-    between any two vertices not in the facet lies an even number of
-    facet vertices.
+    By Gale's evenness condition a facet is a union of disjoint pairs
+    {i, i+1} plus at most one odd block at each end.  Splitting a lone 1
+    or n off each odd block leaves a pair union in the rest of [1, n]; the
+    number of lone ends has the parity of d.
     """
     if d < 1:
         raise InvalidParameters("polytope dimension must be >= 1")
     if n <= d:
         raise TooFewVertices(f"cyclic {d}-polytope needs more than {d} vertices")
     return PureComplex(
-        c for c in itertools.combinations(range(1, n + 1), d) if _gale_even(c, n)
+        (1,) * a + f + (n,) * b
+        for a, b in itertools.product((0, 1), repeat=2)
+        if (d - a - b) % 2 == 0
+        for f in _pair_unions((d - a - b) // 2, 1 + a, n - b)
     )
 
 

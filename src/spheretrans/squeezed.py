@@ -4,11 +4,11 @@ A pair pattern with k start indices i_1 < i_2 < ... < i_k (consecutive
 starts at least 2 apart) realizes the 2k-set {i_1, i_1+1} u ... u
 {i_k, i_k+1}.  Patterns whose realization fits inside [m, n] form a
 poset under the componentwise order on starts; a squeezed ball is the
-complex of realizations of a downward-closed set generated by an
-antichain.  Subtracting the ball of the shifted antichain (all starts
-minus one) leaves a relative squeezed ball whose boundary sphere is the
-object of interest; sew() plants such a ball back into a sphere that
-contains it and cones its boundary with a fresh apex.
+complex of realizations of the downward-closed set an antichain generates,
+walked down from its members.  Subtracting the ball of the shifted
+antichain (all starts minus one) leaves a relative squeezed ball whose
+boundary sphere is the object of interest; sew() plants such a ball back
+into a sphere that contains it and cones its boundary with a fresh apex.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import (
-    EMPTY,
     Face,
     PureComplex,
     boundary,
@@ -65,6 +64,15 @@ def pattern_leq(a: PairPattern, b: PairPattern) -> bool:
     return all(x <= y for x, y in zip(a.starts, b.starts))
 
 
+def _pair_unions(k: int, m: int, n: int) -> list[Face]:
+    """Realizations of the arity-k patterns inside [m, n], lexicographically:
+    the starts are c_j + j for the k-subsets c of [m, n-k]; k = 0 gives [()]."""
+    return [
+        tuple(v for j, c_j in enumerate(c) for v in (c_j + j, c_j + j + 1))
+        for c in itertools.combinations(range(m, n - k + 1), k)
+    ]
+
+
 def enumerate_pair_poset(k: int, m: int, n: int) -> list[PairPattern]:
     """All patterns of arity k realized inside [m, n], lexicographically.
 
@@ -73,10 +81,7 @@ def enumerate_pair_poset(k: int, m: int, n: int) -> list[PairPattern]:
     """
     if k < 1 or m < 1:
         raise InvalidParameters("need k >= 1 and m >= 1")
-    out = []
-    for c in itertools.combinations(range(m, n - k + 1), k):
-        out.append(PairPattern(tuple(v + i for i, v in enumerate(c))))
-    return out
+    return [PairPattern(f[::2]) for f in _pair_unions(k, m, n)]
 
 
 @dataclass(frozen=True)
@@ -108,15 +113,20 @@ class Antichain:
 
 
 def squeezed_ball(s: Antichain) -> PureComplex:
-    """Realizations of the order ideal the antichain generates."""
-    if not s.members:
-        return EMPTY
-    ideal = [
-        p
-        for p in enumerate_pair_poset(s.k, 1, s.n)
-        if any(pattern_leq(p, q) for q in s.members)
-    ]
-    return PureComplex(p.face() for p in ideal)
+    """Realizations of the order ideal the antichain generates, walked down
+    from the members by lowering one start while it stays >= 1 and >= 2 above
+    the previous one; lowering the first start where q exceeds p leads to p."""
+    ideal: set[Face] = set()
+    layer = {p.face() for p in s.members}
+    while layer:
+        ideal |= layer
+        layer = {
+            f[:j] + (f[j] - 1, f[j]) + f[j + 2:]
+            for f in layer
+            for j in range(0, len(f), 2)
+            if f[j] - 1 > (f[j - 1] if j else 0)  # f[j - 1] tops the previous pair
+        } - ideal
+    return PureComplex(ideal)
 
 
 def shift_antichain(s: Antichain) -> Antichain:

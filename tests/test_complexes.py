@@ -161,6 +161,30 @@ def test_f_vector_three_sphere_has_zero_euler():
 def test_f_vector_guard():
     with pytest.raises(TooLarge):
         f_vector(cross_boundary(5), max_faces=10)
+    # the octahedron has 27 faces, the empty face included
+    assert f_vector(OCTAHEDRON, max_faces=27).counts == (1, 6, 12, 8)
+    with pytest.raises(TooLarge):
+        f_vector(OCTAHEDRON, max_faces=26)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_f_vector_holds_one_layer_at_a_time():
+    sphere = relative_squeezed_sphere(neighborly_antichain(4, 22))
+    largest = max(
+        _traced_peak(lambda c=c: len(sphere.faces_of_cardinality(c)))
+        for c in range(1, sphere.dimension + 2)
+    )
+    # its two largest layers hold 7,686 and 5,712 faces: holding both
+    # at once costs about 1.7 times the largest alone
+    assert _traced_peak(lambda: f_vector(sphere)) < 1.25 * largest
 
 
 def test_pseudomanifold_report_on_good_and_damaged_spheres():
@@ -196,6 +220,10 @@ def test_betti_profiles():
         gf2_betti(EMPTY)
     with pytest.raises(TooLarge):
         gf2_betti(cross_boundary(4), max_faces=5)
+    # 26 nonempty faces
+    assert gf2_betti(OCTAHEDRON, max_faces=26) == (1, 0, 1)
+    with pytest.raises(TooLarge):
+        gf2_betti(OCTAHEDRON, max_faces=25)
 
 
 def _euler_from_betti(betti):

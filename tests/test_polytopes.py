@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -48,14 +49,20 @@ def test_cyclic_boundary_agrees_with_the_convex_hull(d, n):
     assert cyclic_boundary(d, n).facets == moment_curve_hull_facets(d, n)
 
 
-@pytest.mark.parametrize("d,n", [(3, 6), (4, 7), (5, 8), (6, 9)])
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(1, 10) for n in range(d + 1, 14)])
 def test_cyclic_boundary_agrees_with_the_all_pairs_filter(d, n):
     expected = {
         c
         for c in itertools.combinations(range(1, n + 1), d)
         if gale_all_pairs(c, n)
     }
-    assert cyclic_boundary(d, n).facets == expected
+    sphere = cyclic_boundary(d, n)
+    assert sphere.facets == expected
+    k = d // 2
+    if d % 2 == 0:
+        assert len(sphere) * (n - k) == n * comb(n - k, k)
+    else:
+        assert len(sphere) == 2 * comb(n - k - 1, k)
 
 
 def test_cyclic_four_polytope_facet_count():

@@ -1,12 +1,16 @@
 import itertools
+import sys
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from spheretrans import (
     EMPTY,
     Antichain,
     PairPattern,
+    PureComplex,
     boundary,
     cyclic_boundary,
     enumerate_pair_poset,
@@ -16,6 +20,7 @@ from spheretrans import (
     is_k_neighborly,
     neighborly_antichain,
     pattern_leq,
+    relative_difference,
     relative_squeezed_ball,
     relative_squeezed_sphere,
     sew,
@@ -109,15 +114,53 @@ def test_squeezed_ball_of_one_generator():
     assert squeezed_ball(Antichain(2, 5, [])) == EMPTY
 
 
-def test_squeezed_ball_is_the_order_ideal():
-    s = neighborly_antichain(3, 13)
-    ball = squeezed_ball(s)
-    below = {
+def ideal_by_filter(s):
+    """The order ideal by testing the whole pair poset against every member."""
+    return PureComplex(
         p.face()
-        for p in enumerate_pair_poset(3, 1, 13)
+        for p in enumerate_pair_poset(s.k, 1, s.n)
         if any(pattern_leq(p, q) for q in s.members)
-    }
-    assert ball.facets == below
+    )
+
+
+def test_squeezed_ball_is_the_order_ideal():
+    for s in (
+        [neighborly_antichain(3, n) for n in (12, 13, 14)]
+        + [neighborly_antichain(4, 22), neighborly_antichain(5, 21)]
+        + [sewing_antichain(2, n) for n in (5, 6, 9, 14)]
+    ):
+        assert squeezed_ball(s) == ideal_by_filter(s)
+
+
+@hst.composite
+def antichains(draw):
+    k = draw(hst.integers(1, 4))
+    n = draw(hst.integers(2 * k, 14))
+    drawn = draw(hst.lists(hst.sampled_from(enumerate_pair_poset(k, 1, n)), max_size=6))
+    maximal = [p for p in drawn if not any(p != q and pattern_leq(p, q) for q in drawn)]
+    return Antichain(k, n, maximal)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(antichains())
+def test_squeezed_balls_of_random_antichains_match_the_filter(s):
+    assert squeezed_ball(s) == ideal_by_filter(s)
+    assert relative_squeezed_ball(s) == relative_difference(
+        ideal_by_filter(s), ideal_by_filter(shift_antichain(s))
+    )
+
+
+def test_pair_pattern_builders_do_not_recurse():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        sphere = cyclic_boundary(300, 301)
+        ball = squeezed_ball(Antichain(150, 301, [PairPattern(tuple(range(2, 301, 2)))]))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(sphere) == 301  # the boundary of the 300-simplex
+    # below (2, 4, ..., 300) a prefix of the starts is lowered by one
+    assert len(ball) == 151
 
 
 def test_shift_antichain_drops_members_starting_at_one():
