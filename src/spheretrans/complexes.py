@@ -8,6 +8,16 @@ tuples.  The distinguished EMPTY complex has no facets, dimension -1,
 and contains only the empty face; it is the identity for union and for
 join.
 
+Validation happens at the edges: face(), simplex(), the public
+PureComplex(...) constructor and the file loaders sort every facet and
+reject zero, duplicate or non-integer labels (bool included) and mixed
+facet sizes.  A complex built from other complexes inherits canonical
+facets, so join, union, relative_difference, boundary, negate, link and
+the family constructors (cs recursion, cyclic, cross and stacked
+polytopes, squeezed balls) pass their results to the private
+PureComplex._from_canonical, which checks nothing.  The clash and
+dimension pre-checks of join, union and relative_difference still run.
+
 All operations return new complexes and never mutate their arguments,
 so everything here is safe to share between threads.
 """
@@ -36,7 +46,8 @@ def face(vertices: Iterable[int]) -> Face:
     """Canonicalize a face: sorted tuple of distinct nonzero ints."""
     vs = tuple(sorted(vertices))
     for v in vs:
-        if not isinstance(v, int) or v == 0:
+        # bool is a subclass of int, but True is no label
+        if not isinstance(v, int) or isinstance(v, bool) or v == 0:
             raise ValueError(f"vertex labels must be nonzero integers, got {v!r}")
     for a, b in zip(vs, vs[1:]):
         if a == b:
@@ -62,6 +73,19 @@ class PureComplex:
             self._dimension = -1
         self._facets = fs
         self._vertices = frozenset(v for f in fs for v in f)
+
+    @classmethod
+    def _from_canonical(cls, facets: Iterable[Face]) -> PureComplex:
+        """Trusted constructor.  Precondition, not checked: every facet is a
+        nonempty sorted tuple of distinct nonzero ints and all have the same
+        size.  Only for facets canonical by construction; input from outside
+        goes through PureComplex(...)."""
+        fs = facets if isinstance(facets, frozenset) else frozenset(facets)
+        self = object.__new__(cls)
+        self._facets = fs
+        self._dimension = len(next(iter(fs))) - 1 if fs else -1
+        self._vertices = frozenset(itertools.chain.from_iterable(fs))
+        return self
 
     @property
     def facets(self) -> frozenset[Face]:
@@ -147,7 +171,7 @@ def join(a: PureComplex, b: PureComplex) -> PureComplex:
     clash = a.vertices & b.vertices
     if clash:
         raise InvalidJoin(f"join factors share vertices {sorted(clash)}")
-    return PureComplex(
+    return PureComplex._from_canonical(
         tuple(sorted(fa + fb)) for fa in a.facets for fb in b.facets
     )
 
@@ -162,7 +186,7 @@ def union(a: PureComplex, b: PureComplex) -> PureComplex:
         raise DimensionMismatch(
             f"cannot union dimensions {a.dimension} and {b.dimension}"
         )
-    return PureComplex(a.facets | b.facets)
+    return PureComplex._from_canonical(a.facets | b.facets)
 
 
 def relative_difference(delta: PureComplex, gamma: PureComplex) -> PureComplex:
@@ -173,7 +197,7 @@ def relative_difference(delta: PureComplex, gamma: PureComplex) -> PureComplex:
         raise DimensionMismatch(
             f"cannot subtract dimension {gamma.dimension} from {delta.dimension}"
         )
-    return PureComplex(delta.facets - gamma.facets)
+    return PureComplex._from_canonical(delta.facets - gamma.facets)
 
 
 def boundary(ball: PureComplex) -> PureComplex:
@@ -187,23 +211,28 @@ def boundary(ball: PureComplex) -> PureComplex:
     for F in ball.facets:
         for i in range(len(F)):
             counts[F[:i] + F[i + 1:]] += 1
-    return PureComplex(r for r, c in counts.items() if c == 1)
+    return PureComplex._from_canonical(r for r, c in counts.items() if c == 1)
 
 
 def negate(delta: PureComplex) -> PureComplex:
     """Relabel every vertex v as -v."""
     if delta.is_empty:
         return delta
-    return PureComplex(tuple(-v for v in reversed(F)) for F in delta.facets)
+    return PureComplex._from_canonical(
+        tuple(-v for v in reversed(F)) for F in delta.facets
+    )
 
 
 def link(delta: PureComplex, f: Iterable[int]) -> PureComplex:
-    """Link of a face: residues of the facets containing it."""
+    """Link of a face: residues of the facets containing it.  EMPTY when
+    the face is itself a facet (its only residue is the empty face)."""
     fc = face(f)
     if not delta.contains_face(fc):
         raise FaceNotPresent(f"{fc} is not a face")
+    if len(fc) == delta.dimension + 1:
+        return EMPTY
     fv = set(fc)
-    return PureComplex(
+    return PureComplex._from_canonical(
         tuple(v for v in F if v not in fv)
         for F in delta.facets
         if fv.issubset(F)

@@ -17,9 +17,10 @@ mutually recursive scheme together with the balls cs_ball(d, i, n):
 
 Every step asserts the structural facts it relies on (low-index balls
 sit facet-wise inside the sphere; B and -B share no facet) and raises
-RecursionInvariantViolated otherwise.  Results are memoized in a shared
-cache keyed by kind and parameters; pass cache={} to recompute from
-scratch.  Cached values are immutable, so sharing the default cache
+RecursionInvariantViolated otherwise.  Facets are canonical by
+construction, so no step re-validates them.  Results are memoized in a
+shared cache keyed by kind and parameters; pass cache={} to recompute
+from scratch.  Cached values are immutable, so sharing the default cache
 between threads is harmless.
 """
 
@@ -87,8 +88,8 @@ def _sphere(d: int, n: int, cache: dict) -> PureComplex:
         return hit
     if d == 1:
         cyc = list(range(1, n + 1)) + list(range(-1, -n - 1, -1)) + [1]
-        val = PureComplex(
-            (cyc[j], cyc[j + 1]) for j in range(2 * n)
+        val = PureComplex._from_canonical(
+            tuple(sorted(cyc[j:j + 2])) for j in range(2 * n)
         )
     elif n == d + 1:
         val = cross_boundary(d + 1)
@@ -103,7 +104,7 @@ def _sphere(d: int, n: int, cache: dict) -> PureComplex:
         kept = prev.facets - b.facets - nb.facets
         pos = join(boundary(b), simplex([n]))
         neg = join(boundary(nb), simplex([-n]))
-        val = PureComplex(kept | pos.facets | neg.facets)
+        val = PureComplex._from_canonical(kept | pos.facets | neg.facets)
     cache[key] = val
     return val
 
@@ -117,12 +118,12 @@ def _ball(d: int, i: int, n: int, cache: dict) -> PureComplex:
         return hit
     if d == 1:
         if i == 0:
-            val = PureComplex([(-1, n)])
+            val = PureComplex._from_canonical([(-1, n)])
         else:
-            val = PureComplex(_sphere(1, n, cache).facets - {face((-1, n))})
+            val = PureComplex._from_canonical(_sphere(1, n, cache).facets - {(-1, n)})
     elif d % 2 == 1 and i == (d + 1) // 2:
         # top ball in odd dimension: complement of its predecessor
-        val = PureComplex(
+        val = PureComplex._from_canonical(
             _sphere(d, n, cache).facets - _ball(d, i - 1, n, cache).facets
         )
     else:

@@ -10,6 +10,7 @@ by repeated coning.  All vertex labels follow the package convention
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from .complexes import PureComplex
@@ -29,7 +30,7 @@ def cyclic_boundary(d: int, n: int) -> PureComplex:
         raise InvalidParameters("polytope dimension must be >= 1")
     if n <= d:
         raise TooFewVertices(f"cyclic {d}-polytope needs more than {d} vertices")
-    return PureComplex(
+    return PureComplex._from_canonical(
         (1,) * a + f + (n,) * b
         for a, b in itertools.product((0, 1), repeat=2)
         if (d - a - b) % 2 == 0
@@ -44,8 +45,9 @@ def cross_boundary(d: int) -> PureComplex:
     """
     if d < 1:
         raise InvalidParameters("cross polytope dimension must be >= 1")
-    return PureComplex(
-        signs for signs in itertools.product(*[(i, -i) for i in range(1, d + 1)])
+    return PureComplex._from_canonical(
+        tuple(sorted(signs))
+        for signs in itertools.product(*[(i, -i) for i in range(1, d + 1)])
     )
 
 
@@ -55,17 +57,18 @@ def stacked_sphere(d: int, n: int) -> PureComplex:
     Starts from the boundary of the d-simplex on 1..d+1; each step
     removes the lexicographically smallest facet avoiding the most
     recently added vertex and cones its boundary with a fresh label.
+    That vertex is the largest label, and a facet R + (apex,) is never the
+    smallest: the other facet on its ridge R is R plus a smaller label, so
+    it sorts first.  A heap of all the facets therefore finds each target.
     """
     if d < 2:
         raise InvalidParameters("stacked spheres need dimension >= 2")
     if n < d + 1:
         raise TooFewVertices(f"need at least {d + 1} vertices, got {n}")
-    facets = set(itertools.combinations(range(1, d + 2), d))
-    apex = None
+    heap = list(itertools.combinations(range(1, d + 2), d))  # sorted, so a heap
     for fresh in range(d + 2, n + 1):
-        target = min(f for f in facets if apex not in f)
-        facets.remove(target)
-        for i in range(len(target)):
-            facets.add(tuple(sorted(target[:i] + target[i + 1:] + (fresh,))))
-        apex = fresh
-    return PureComplex(facets)
+        target = heapq.heappop(heap)
+        for i in range(d):
+            # fresh exceeds every label so far, so the cone facet stays sorted
+            heapq.heappush(heap, target[:i] + target[i + 1:] + (fresh,))
+    return PureComplex._from_canonical(heap)

@@ -126,7 +126,7 @@ def squeezed_ball(s: Antichain) -> PureComplex:
             for j in range(0, len(f), 2)
             if f[j] - 1 > (f[j - 1] if j else 0)  # f[j - 1] tops the previous pair
         } - ideal
-    return PureComplex(ideal)
+    return PureComplex._from_canonical(ideal)
 
 
 def shift_antichain(s: Antichain) -> Antichain:

@@ -76,10 +76,16 @@ class TransversalCertificate:
 
 
 def facet_hypergraph(delta: PureComplex) -> Hypergraph:
-    """Hypergraph whose edges are the facets of a nonempty complex."""
+    """Hypergraph whose edges are the facets of a nonempty complex.
+
+    The facets are canonical and use only the complex's own vertices, so
+    the fields are filled in directly, without Hypergraph's checks."""
     if delta.is_empty:
         raise InvalidParameters("facet hypergraph of EMPTY is not defined")
-    return Hypergraph(delta.vertices, delta.facets)
+    h = object.__new__(Hypergraph)
+    object.__setattr__(h, "vertices", tuple(sorted(delta.vertices)))
+    object.__setattr__(h, "edges", tuple(sorted(delta.facets)))
+    return h
 
 
 def is_transversal(h: Hypergraph, t: Iterable[int]) -> bool:

@@ -3,8 +3,9 @@ package internals: the transversal oracles scan subsets by size or solve
 the integer program with HiGHS, the Gale oracle checks the textbook
 all-pairs condition, the cs neighborliness oracle tests every
 antipode-free subset and the Betti oracle ranks the full boundary
-matrices densely mod 2.  facet_lists draws small pure complexes as
-plain facet lists."""
+matrices densely mod 2, and the stacked sphere oracle rescans every
+facet for the lex-smallest one at each step.  facet_lists draws small
+pure complexes as plain facet lists."""
 
 import itertools
 
@@ -64,6 +65,21 @@ def milp_transversal(vertices, edges):
     chosen = frozenset(v for v, x in zip(verts, res.x) if x > 0.5)
     assert all(chosen.intersection(e) for e in edges), "HiGHS solution misses an edge"
     return len(chosen), chosen
+
+
+def stacked_sphere_by_rescan(d, n):
+    """Facet set of stacked_sphere(d, n) by the linear scan: each step
+    takes the lex-smallest facet avoiding the latest apex and replaces it
+    by the cone of its boundary over a fresh label."""
+    facets = set(itertools.combinations(range(1, d + 2), d))
+    apex = None
+    for fresh in range(d + 2, n + 1):
+        target = min(f for f in facets if apex not in f)
+        facets.remove(target)
+        for i in range(len(target)):
+            facets.add(tuple(sorted(target[:i] + target[i + 1:] + (fresh,))))
+        apex = fresh
+    return facets
 
 
 def gale_all_pairs(subset, n):

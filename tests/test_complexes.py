@@ -50,6 +50,11 @@ def test_face_rejects_zero_and_duplicates():
         face([1, 0, 2])
     with pytest.raises(ValueError):
         face([1, 2, 2])
+    # bool is a subclass of int, but True is no label
+    with pytest.raises(ValueError):
+        face([True, 2])
+    with pytest.raises(ValueError):
+        PureComplex([(True, 2)])
 
 
 def test_purity_enforced():
@@ -112,6 +117,9 @@ def test_relative_difference():
     assert relative_difference(sq, EMPTY) == sq
     left = relative_difference(sq, PureComplex([(1, 2)]))
     assert left.facets == {(2, 3), (3, 4), (1, 4)}
+    gone = relative_difference(sq, sq)
+    assert gone == EMPTY
+    assert gone.dimension == -1
     with pytest.raises(DimensionMismatch):
         relative_difference(sq, simplex([1]))
 
@@ -145,6 +153,10 @@ def test_vertex_link_in_the_octahedron_is_a_square():
 def test_link_of_absent_face_raises():
     with pytest.raises(FaceNotPresent):
         link(OCTAHEDRON, [1, -1])
+    # a facet is present, and its link holds only the empty face
+    lk = link(OCTAHEDRON, (-3, 1, 2))
+    assert lk == EMPTY
+    assert lk.dimension == -1
 
 
 def test_f_vector_octahedron():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from helpers import brute_force_transversal, gale_all_pairs
+from helpers import brute_force_transversal, gale_all_pairs, stacked_sphere_by_rescan
 from spheretrans import (
     cross_boundary,
     cyclic_boundary,
@@ -121,6 +121,12 @@ def test_stacked_sphere_facet_counts():
     for d in (2, 3, 4, 5):
         for n in range(d + 1, d + 6):
             assert len(stacked_sphere(d, n)) == (d + 1) + (n - d - 1) * (d - 1)
+
+
+def test_stacked_sphere_matches_the_rescan_oracle():
+    grid = [(d, n) for d in range(2, 7) for n in range(d + 1, 41)] + [(4, 300)]
+    for d, n in grid:
+        assert stacked_sphere(d, n).facets == stacked_sphere_by_rescan(d, n), (d, n)
 
 
 @pytest.mark.parametrize("d,n", [(3, 7), (4, 12)])

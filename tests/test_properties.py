@@ -1,6 +1,8 @@
 """Properties that every construction must keep: boundaries of balls are
-closed, negation is an involution, both file formats round-trip, and
-every sphere family of the CLI has the homology of a sphere."""
+closed, negation is an involution, both file formats round-trip, every
+sphere family of the CLI has the homology of a sphere, and every complex
+built from other complexes is what the validating constructor makes of
+its facets."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,22 +10,42 @@ from hypothesis import given, settings
 from helpers import facet_lists
 from spheretrans import (
     EMPTY,
+    Hypergraph,
     PureComplex,
     boundary,
     cs_ball,
     f_vector,
+    facet_hypergraph,
     gf2_betti,
+    join,
+    link,
     negate,
     neighborly_antichain,
     relative_squeezed_ball,
+    relative_difference,
     sewing_antichain,
+    simplex,
     sphere_betti_profile,
     squeezed_ball,
+    union,
 )
 from spheretrans import cli
 from spheretrans.fileio import FORMATS, dumps_complex, loads_facets, loads_json
 
 LOADS = {"facets": loads_facets, "json": loads_json}
+
+
+def assert_canonical(x):
+    """x has strictly increasing facets and equals, field for field, the
+    complex that the validating constructor builds from its facets; its
+    facet hypergraph is the validated one."""
+    checked = PureComplex(x.facets)
+    assert x == checked
+    assert x.dimension == checked.dimension
+    assert x.vertices == checked.vertices
+    assert all(all(a < b for a, b in zip(f, f[1:])) for f in x.facets)
+    if not x.is_empty:
+        assert facet_hypergraph(x) == Hypergraph(x.vertices, x.facets)
 
 
 def squeezed(k, n):
@@ -62,6 +84,8 @@ def test_the_boundary_of_a_ball_has_no_boundary(make, params):
     ball = make(*params)
     assert gf2_betti(ball) == (1,) + (0,) * ball.dimension
     sphere = boundary(ball)
+    assert_canonical(ball)
+    assert_canonical(sphere)
     assert sphere.dimension == ball.dimension - 1
     assert boundary(sphere) == EMPTY
 
@@ -82,6 +106,21 @@ def test_negate_is_an_involution_and_files_round_trip(facets):
     assert negate(delta).vertices == {-v for v in delta.vertices}
     for fmt in FORMATS:
         assert LOADS[fmt](dumps_complex(delta, fmt)) == delta
+    # every derived complex is canonical, down to EMPTY results
+    some = PureComplex(delta.sorted_facets()[::2])
+    derived = [
+        delta,
+        boundary(delta),
+        negate(delta),
+        join(delta, simplex([10, -11])),
+        union(delta, negate(delta)),
+        union(delta, some),
+        relative_difference(delta, some),
+        relative_difference(delta, delta),
+        *(link(delta, [v]) for v in delta.vertices),
+    ]
+    for x in derived:
+        assert_canonical(x)
 
 
 # every family of the CLI table but the squeezed ball, at small parameters
@@ -110,6 +149,7 @@ def test_the_sphere_families_cover_the_family_table():
 )
 def test_every_sphere_family_has_the_homology_of_a_sphere(family, flags):
     sphere, _ = cli._construct(family, **flags)
+    assert_canonical(sphere)
     dim = sphere.dimension
     assert gf2_betti(sphere) == sphere_betti_profile(dim)
     assert f_vector(sphere).euler_characteristic == 1 + (-1) ** dim

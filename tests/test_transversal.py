@@ -25,7 +25,7 @@ from spheretrans import (
     matching_lower_bound,
     transversal_ratio,
 )
-from spheretrans import transversal
+from spheretrans import complexes, cs_family, transversal
 from spheretrans.errors import InvalidParameters, UnknownVertex
 
 
@@ -48,6 +48,24 @@ def test_facet_hypergraph_of_a_sphere(cs_cache):
     assert len(h.edges) == 48
     with pytest.raises(InvalidParameters):
         facet_hypergraph(EMPTY)
+
+
+def test_derived_facets_are_not_canonicalized_again(monkeypatch):
+    # the cs recursion and facet_hypergraph reuse canonical facets, so face()
+    # runs only on a few fresh simplices, not once per facet (or per step)
+    calls = 0
+    original = complexes.face
+
+    def counting_face(vertices):
+        nonlocal calls
+        calls += 1
+        return original(vertices)
+
+    for module in (complexes, cs_family, transversal):
+        monkeypatch.setattr(module, "face", counting_face)
+    h = facet_hypergraph(cs_sphere(6, 10, cache={}))
+    assert len(h.edges) == 840
+    assert calls < len(h.edges)
 
 
 def test_is_transversal():
