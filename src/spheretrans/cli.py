@@ -245,7 +245,9 @@ def _cmd_transversal(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    report = verify_lemma(LemmaId(args.lemma), args.k, args.n, m=args.m)
+    lemma = LemmaId(args.lemma)
+    _require(args.m is None or lemma is LemmaId.EVEN_FACETS, f"{lemma.value} does not take --m")
+    report = verify_lemma(lemma, args.k, args.n, m=args.m)
     print(f"lemma {report.lemma_id.value}")
     print(f"params {report.params}")
     print(f"candidates_checked {report.candidates_checked}")

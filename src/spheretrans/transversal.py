@@ -16,20 +16,21 @@ left, so units appear only at the root and in the child that excludes
 the branching vertex, where the same pass that finds the vertex also
 finds them.
 
-The exact solver wraps that search in a block lower bound: for disjoint
-vertex blocks V_1..V_k, tau(H) >= sum of tau(H[V_i]), with equality for
-the connected components.  A disconnected hypergraph is solved component
-by component.  A connected one whose labels are closed under negation
-(every cs sphere) first solves its blocks of positive and of negative
-labels, and the search of the whole stops as soon as its incumbent
-reaches their sum; on cs 3-spheres with an even n that sum is already
-the greedy cover's size.  A wall-clock budget covers the whole call, and
-a timeout reports the best lower bound proven by then: the root matching,
-the block sum, or the sum over the components.
+The exact solver wraps that search in one recursion over vertex blocks:
+for disjoint blocks V_1..V_k, tau(H) >= sum of tau(H[V_i]), with equality
+for the connected components.  It first splits the hypergraph into its
+components and solves each one on its own.  A component whose labels are
+closed under negation (every cs sphere) then solves its blocks of
+positive and of negative labels, and its search stops as soon as the
+incumbent reaches their sum; on cs 3-spheres with an even n that sum is
+already the greedy cover's size.  A wall-clock budget covers the whole
+call, and a timeout reports the best lower bound proven by then: per
+component, the root matching or the block sum, added up.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -274,13 +275,40 @@ def _components(masks: list[int]) -> list[int]:
     return comps
 
 
-def _block(
-    vertices: tuple[int, ...], edges: list[Face], deadline: float, nodes: int
+def _solve(
+    vertices: tuple[int, ...], edges: list[Face], deadline: float, nodes: int, blocks: bool
 ) -> tuple[tuple[int, ...], int, int, bool]:
-    """_search on the sub-hypergraph with these vertices and edges; the
-    hitting set comes back as labels."""
+    """Minimum hitting set of these edges, as labels, with its proven
+    lower bound, the running node count and whether the deadline stopped
+    a search.  Components are solved one by one; a connected one gets
+    the floor of its sign classes when blocks is set and its labels are
+    closed under negation; then _search runs.  The recursion is at most
+    four deep: components, sign classes, their components, search."""
     masks, inc = _incidence(vertices, edges)
-    best, lower, nodes, timed_out = _search(masks, inc, deadline, 0, nodes)
+    parts = _components(masks)
+    if len(parts) > 1:
+        hitting: list[int] = []
+        lower, timed_out = 0, False
+        for part in parts:
+            own = [e for e, m in zip(edges, masks) if m & part]
+            t, lb, nodes, out = _solve(_labels(part, vertices), own, deadline, nodes, blocks)
+            hitting += t
+            lower += lb
+            timed_out |= out
+        return tuple(hitting), lower, nodes, timed_out
+    floor = 0
+    if blocks and set(vertices) == {-v for v in vertices}:
+        plus = [e for e in edges if e[0] > 0]
+        minus = [e for e in edges if e[-1] < 0]
+        positive = tuple(v for v in vertices if v > 0)
+        _, floor, nodes, _ = _solve(positive, plus, deadline, nodes, False)
+        if sorted(tuple(-v for v in reversed(e)) for e in plus) == minus:
+            floor *= 2
+        else:
+            negative = tuple(v for v in vertices if v < 0)
+            _, lb, nodes, _ = _solve(negative, minus, deadline, nodes, False)
+            floor += lb
+    best, lower, nodes, timed_out = _search(masks, inc, deadline, floor, nodes)
     return _labels(best, vertices), lower, nodes, timed_out
 
 
@@ -291,71 +319,39 @@ def exact_transversal(
 
     For disjoint vertex blocks V_1..V_k, tau(H) >= sum of tau(H[V_i]),
     since a hitting set meets every edge inside V_i within V_i; for the
-    connected components this is an equality.  So a disconnected
-    hypergraph is solved one component at a time and the hitting sets are
-    joined.  A connected one whose labels are closed under negation first
-    solves the blocks of positive and of negative labels (the negative
-    block reuses the positive one's value when negation maps one onto the
-    other), and the search of the whole stops as soon as its incumbent
-    reaches that sum.  A budget of zero or less returns the greedy seed
-    with the matching bound.
+    connected components this is an equality.  One recursion applies it
+    twice: the hypergraph is split into its components, and a component
+    whose labels are closed under negation first solves its blocks of
+    positive and of negative labels (reusing the positive value when
+    negation maps one onto the other).  Its search then stops as soon as
+    the incumbent reaches that sum.  A budget of zero or less solves no
+    sign block and returns the greedy cover with the matching bound.
 
     Deterministic and sequential: given the same hypergraph the same
     certificate comes back, whatever the wall clock does short of the
     budget.  On timeout the certificate carries timed_out=True, the
-    incumbent, and the best lower bound proven by then: the sum of the
-    components' own bounds, or else the larger of the root matching and
-    the sum of the sign blocks' bounds.
+    incumbent, and the best lower bound proven by then: the sum over the
+    components of the larger of the root matching and the sign blocks'
+    bounds.
 
     Parameters
     ----------
     h : Hypergraph
     time_budget : float
         Wall-clock seconds for the whole call, preprocessing and blocks
-        included, before the search gives up.
+        included, before the search gives up.  NaN is refused.
     """
+    if math.isnan(time_budget):
+        raise InvalidParameters("time budget must be a number, got nan")
     deadline = time.monotonic() + time_budget
     if not h.edges:
         return TransversalCertificate(frozenset(), 0, 0, True, 0, False)
-
-    labels = h.vertices
-    masks, inc = _incidence(labels, h.edges)
-    floor = nodes = 0
-    parts = _components(masks)
-    if len(parts) > 1:
-        hitting: set[int] = set()
-        lower, timed_out = 0, False
-        for part in parts:
-            edges = [e for e, m in zip(h.edges, masks) if m & part]
-            t, lb, nodes, out = _block(_labels(part, labels), edges, deadline, nodes)
-            hitting.update(t)
-            lower += lb
-            timed_out |= out
-        return TransversalCertificate(
-            frozenset(hitting), lower, len(hitting), lower == len(hitting), nodes, timed_out
-        )
-    # a zero budget gets the root alone: no block of signs is solved
-    if time_budget > 0 and set(labels) == {-v for v in labels}:
-        plus = [e for e in h.edges if e[0] > 0]
-        minus = [e for e in h.edges if e[-1] < 0]
-        positive = tuple(v for v in labels if v > 0)
-        _, floor, nodes, _ = _block(positive, plus, deadline, nodes)
-        if sorted(tuple(-v for v in reversed(e)) for e in plus) == minus:
-            floor *= 2
-        else:
-            negative = tuple(v for v in labels if v < 0)
-            _, lb, nodes, _ = _block(negative, minus, deadline, nodes)
-            floor += lb
-
-    best_mask, lower, nodes, timed_out = _search(masks, inc, deadline, floor, nodes)
-    best_size = best_mask.bit_count()
+    hitting, lower, nodes, timed_out = _solve(
+        h.vertices, list(h.edges), deadline, 0, time_budget > 0
+    )
+    size = len(hitting)
     return TransversalCertificate(
-        hitting_set=frozenset(_labels(best_mask, labels)),
-        lower_bound=lower,
-        upper_bound=best_size,
-        optimal=lower == best_size,
-        nodes_explored=nodes,
-        timed_out=timed_out,
+        frozenset(hitting), lower, size, lower == size, nodes, timed_out
     )
 
 

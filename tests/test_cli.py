@@ -167,6 +167,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     main(["build", "--family", "cross", "--d", "3", "--out", path])
     assert main(["verify", "--in", path, "--checks", "bogus"]) == 2
     capsys.readouterr()
+    # --m belongs to even-facets alone
+    assert main(["lemmas", "--lemma", "bdl", "--k", "2", "--n", "8", "--m", "3"]) == 2
+    assert "bdl does not take --m" in capsys.readouterr().err
+    assert main(["lemmas", "--lemma", "even-facets", "--k", "2", "--n", "8", "--m", "10"]) == 0
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["build", "--family", "moebius", "--d", "3"])
     assert exc.value.code == 2
@@ -283,6 +288,23 @@ def test_transversal_greedy_output(tmp_path, capsys):
     )
     assert fields["mode"] == "greedy"
     assert int(fields["lower_bound"]) <= int(fields["upper_bound"])
+
+
+def test_nan_budget_exits_one(tmp_path, capsys):
+    path = str(tmp_path / "c510.facets")
+    main(["build", "--family", "cyclic", "--d", "5", "--n", "10", "--out", path])
+    capsys.readouterr()
+    assert main(["transversal", "--in", path, "--budget", "nan"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    csv = tmp_path / "mu.csv"
+    rc = main(
+        [
+            "report", "mu", "--family", "cyclic", "--d", "4", "--budget", "nan",
+            "--n-from", "6", "--n-to", "7", "--csv", str(csv),
+        ]
+    )
+    assert rc == 1 and capsys.readouterr().err.startswith("error: ")
+    assert not csv.exists()
 
 
 def test_lemma_command(capsys):

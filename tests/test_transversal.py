@@ -165,7 +165,7 @@ def disjoint_copies(facets, copies):
         (lambda: cs_sphere(4, 13), 100, {s * v for v in (5, 6, 10, 11) for s in (1, -1)}),
         (
             lambda: PureComplex(disjoint_copies(cs_sphere(3, 9).facets, 3)),
-            615,
+            672,
             {-27, -24, -23, -22, -21, -18, -15, -14, -13, -12, -9, -6, -5, -4, -3,
              5, 6, 9, 14, 15, 18, 23, 24, 27},
         ),
@@ -173,7 +173,8 @@ def disjoint_copies(facets, copies):
     ids=["cs-3-14", "cs-4-12", "cs-4-13", "3-copies-cs-3-9"],
 )
 def test_block_bound_certificates_are_pinned(build, nodes, hitting_set):
-    # the sign-class floor (cs spheres) and the component split (copies)
+    # the sign-class floor (cs spheres), and the component split with each
+    # copy's own sign-class floor (copies)
     tau = len(hitting_set)
     assert exact_transversal(facet_hypergraph(build()), time_budget=1.0) == TransversalCertificate(
         frozenset(hitting_set), tau, tau, True, nodes, False
@@ -279,10 +280,28 @@ def test_positive_block_bound_is_tight_on_even_cs_three_spheres(n, cs_cache):
     h = facet_hypergraph(cs_sphere(3, n, cache=cs_cache))
     positive = tuple(v for v in h.vertices if v > 0)
     plus = [e for e in h.edges if e[0] > 0]
-    _, value, _, timed_out = transversal._block(positive, plus, time.monotonic() + 60, 0)
+    _, value, _, timed_out = transversal._solve(positive, plus, time.monotonic() + 60, 0, False)
     assert not timed_out
     assert value == milp_transversal(positive, plus)[0]
     assert 2 * value == n - 2 == exact_transversal(h).upper_bound
+
+
+@pytest.mark.parametrize("d, n, tau", [(3, 28, 52), (4, 20, 28)])
+def test_disjoint_copies_of_cs_spheres_get_their_sign_floors(d, n, tau, cs_cache):
+    # each component is solved with its own sign-class floor, as one
+    # connected copy is; without it two copies of cs (3, 28) time out
+    h = facet_hypergraph(PureComplex(disjoint_copies(cs_sphere(d, n, cache=cs_cache).facets, 2)))
+    cert = exact_transversal(h, time_budget=5.0)
+    assert cert.optimal and not cert.timed_out
+    assert cert.upper_bound == tau
+    assert is_transversal(h, cert.hitting_set)
+
+
+def test_nan_budget_is_refused():
+    h = Hypergraph([1, 2, 3], [(1, 2), (2, 3)])
+    with pytest.raises(InvalidParameters):
+        exact_transversal(h, time_budget=float("nan"))
+    assert exact_transversal(h, time_budget=float("inf")).optimal
 
 
 def test_zero_budget_times_out_but_stays_sound(cs_cache):
