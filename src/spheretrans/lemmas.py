@@ -163,12 +163,15 @@ def verify_lemma(
         Family parameters.
     m : int, optional
         Ambient label bound for EVEN_FACETS (default n + 1; must be > n).
+        The other lemmas refuse it.
     time_budget : float
         Solver budget in seconds (BDL only).
     cache : dict, optional
         Memo table for the cs recursion.
     """
     lid = LemmaId(lemma_id)
+    if m is not None and lid is not LemmaId.EVEN_FACETS:
+        raise InvalidParameters(f"{lid.value} does not take m")
     params = {"k": k, "n": n}
     details: dict[str, Any] = {}
 

@@ -6,15 +6,19 @@ is a mask over the sorted labels, and its transpose inc[v] is the mask of
 the edge positions that contain vertex v.  A set of edges is then one
 int, the degree of v among the edges R is (inc[v] & R).bit_count(), and
 taking v removes inc[v] from R in one operation.  The greedy cover and
-the solver's branching use the same rule: take the vertex of highest
-degree among the edges not yet hit (ties to the smallest label).
+the solver's branching take the vertex of highest degree among the edges
+not yet hit.  The greedy cover breaks ties by the smallest label; the
+search breaks them by a vertex sequence that depends on the incidences
+alone (_sequence), so relabelling an input barely moves its node count.
 
 The search is a deterministic branch and bound on an explicit stack: it
-seeds with the greedy cover, prunes with the greedy matching lower bound,
-and propagates unit edges.  Taking a vertex never shrinks an edge that is
-left, so units appear only at the root and in the child that excludes
-the branching vertex, where the same pass that finds the vertex also
-finds them.
+seeds with the greedy cover, prunes with a greedy matching lower bound,
+and propagates unit edges.  Each node carries its edges in tiers by live
+vertex count.  Taking a vertex never shrinks an edge that is left, so
+that child keeps the tiers, and units appear only at the root and in the
+child that excludes the branching vertex, whose edges move down a tier.
+The matching at a node takes the edges with two live vertices first,
+then those with three, and so on.
 
 The exact solver wraps that search in one recursion over vertex blocks:
 for disjoint blocks V_1..V_k, tau(H) >= sum of tau(H[V_i]), with equality
@@ -122,50 +126,78 @@ def _labels(mask: int, labels: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v for i, v in enumerate(labels) if mask >> i & 1)
 
 
-def _top_vertex(inc: list[int], rem: int, live: int) -> tuple[int, int]:
-    """Index of the live vertex in the most edges of rem, ties to the
-    smallest, and the edges of rem with exactly two live vertices."""
+def _top_vertex(inc: list[int], rem: int) -> int:
+    """Index of the vertex in the most edges of rem, ties to the smallest."""
     top = -1
     best = 0
-    once = twice = thrice = 0
     for v, edges in enumerate(inc):
-        if not live >> v & 1:
-            continue
-        e = edges & rem
-        thrice |= twice & e
-        twice |= once & e
-        once |= e
-        degree = e.bit_count()
+        degree = (edges & rem).bit_count()
         if degree > best:
             best = degree
             top = v
-    return top, twice & ~thrice
+    return top
 
 
 def _greedy(inc: list[int], rem: int) -> int:
     """Mask of the greedy cover of rem: take _top_vertex until every edge
     is hit."""
-    live = (1 << len(inc)) - 1
     picked = 0
     while rem:
-        v, _ = _top_vertex(inc, rem, live)
+        v = _top_vertex(inc, rem)
         picked |= 1 << v
         rem &= ~inc[v]
     return picked
 
 
-def _matching(masks: list[int], inc: list[int], rem: int, live: int, cap: int) -> int:
+def _matching(
+    masks: list[int], inc: list[int], tiers: Iterable[int], rem: int, live: int, cap: int
+) -> int:
     """Size, capped at cap, of a greedy pairwise-disjoint collection of
-    the edges of rem restricted to live, lowest edge first."""
+    the edges of rem restricted to live: the lowest edge of the first
+    tier first, then of the next tier, and so on."""
     count = 0
-    while rem and count < cap:
-        m = masks[(rem & -rem).bit_length() - 1] & live
-        count += 1
-        while m:
-            low = m & -m
-            m ^= low
-            rem &= ~inc[low.bit_length() - 1]
+    for tier in tiers:
+        tier &= rem
+        while tier:
+            if count == cap:
+                return count
+            count += 1
+            m = masks[(tier & -tier).bit_length() - 1] & live
+            while m:
+                low = m & -m
+                m ^= low
+                rem &= ~inc[low.bit_length() - 1]
+            tier &= rem
     return count
+
+
+def _sequence(inc: list[int]) -> list[int]:
+    """A vertex order that does not depend on the labels: start at the
+    vertex in the fewest edges, then keep appending the vertex sharing
+    the most edges with the last one placed, ties to the one sharing the
+    most with all placed vertices, then to the smallest index.  When no
+    vertex left shares an edge with the last one, take the one left in
+    the fewest edges."""
+    degrees = [edges.bit_count() for edges in inc]
+    left = list(range(len(inc)))
+    shared = [0] * len(inc)
+    order: list[int] = []
+    last = -1
+    while left:
+        pick, most, total = -1, 0, -1
+        if last >= 0:
+            edges = inc[last]
+            for i in left:
+                s = (edges & inc[i]).bit_count()
+                shared[i] += s
+                if s > most or s == most and shared[i] > total:
+                    pick, most, total = i, s, shared[i]
+        if not most:
+            pick = min(left, key=degrees.__getitem__)
+        order.append(pick)
+        left.remove(pick)
+        last = pick
+    return order
 
 
 def greedy_transversal(h: Hypergraph) -> set[int]:
@@ -182,7 +214,55 @@ def matching_lower_bound(h: Hypergraph) -> int:
     matched edge."""
     masks, inc = _incidence(h.vertices, h.edges)
     rem, live = (1 << len(masks)) - 1, (1 << len(inc)) - 1
-    return _matching(masks, inc, rem, live, len(masks))
+    return _matching(masks, inc, (rem,), rem, live, len(masks))
+
+
+# A search node: (rem, live, picked, tiers), see _search.
+_Node = tuple[int, int, int, tuple[int, ...]]
+
+
+def _root(masks: list[int], inc: list[int]) -> _Node:
+    """The search's root node (rem, live, picked, tiers): a one-vertex
+    edge forces its vertex, and every other edge starts in the tier of
+    its size.  Tier j holds the edges with exactly j + 2 live vertices;
+    edges already hit may linger in a tier, so every use ANDs with rem."""
+    rem = (1 << len(masks)) - 1
+    picked = 0
+    tiers = [0] * (max(m.bit_count() for m in masks) - 1)
+    for j, m in enumerate(masks):
+        if m & (m - 1):
+            tiers[m.bit_count() - 2] |= 1 << j
+        else:
+            picked |= m
+            rem &= ~inc[m.bit_length() - 1]
+    return rem, (1 << len(inc)) - 1 & ~picked, picked, tuple(tiers)
+
+
+def _children(masks: list[int], inc: list[int], node: _Node, v: int) -> tuple[_Node, _Node]:
+    """The children of a node on its live vertex v: without v, its forced
+    vertices taken, and with v.  Every edge of rem has two or more live
+    vertices, in both children too.  Taking a vertex changes no live
+    count of an edge that is left, so that child keeps the tiers.
+    Without v, each edge of v moves down a tier, and an edge of v with
+    one other live vertex forces that one; forced vertices only delete
+    edges."""
+    rem, live, picked, tiers = node
+    bit = 1 << v
+    live &= ~bit
+    cut = inc[v] & rem
+    down = [t & ~cut | above & cut for t, above in zip(tiers, tiers[1:])]
+    down.append(tiers[-1] & ~cut)
+    unit = tiers[0] & cut
+    without_rem, without_picked = rem, picked
+    while unit:
+        u = (masks[(unit & -unit).bit_length() - 1] & live).bit_length() - 1
+        without_picked |= 1 << u
+        without_rem &= ~inc[u]
+        unit &= without_rem
+    return (
+        (without_rem, live & ~without_picked, without_picked, tuple(down)),
+        (rem & ~inc[v], live, picked | bit, tiers),
+    )
 
 
 def _search(
@@ -197,33 +277,35 @@ def _search(
     returns the root.  Returns the mask of the best hitting set, the
     proven lower bound, the running node count and whether the deadline
     stopped the search.
+
+    A node carries its edges in tiers by live vertex count (_root), and
+    its matching bound takes the edges with two live vertices first,
+    then those with three, and so on.  It branches on the live vertex in
+    the most edges of rem, ties to the one that comes first in
+    _sequence, so the node count depends little on the labels.
     """
     expired = time.monotonic() >= deadline
     rem = (1 << len(masks)) - 1
     live = (1 << len(inc)) - 1
     best_mask = _greedy(inc, rem)
     best_size = best_mask.bit_count()
-    target = max(floor, _matching(masks, inc, rem, live, len(masks)))
+    target = max(floor, _matching(masks, inc, (rem,), rem, live, len(masks)))
     if target >= best_size:
         return best_mask, best_size, nodes, False
     if expired:
         return best_mask, target, nodes, True
 
-    # a one-vertex edge forces its vertex
-    picked = 0
-    for m in masks:
-        if not m & (m - 1):
-            picked |= m
-            rem &= ~inc[m.bit_length() - 1]
+    order = [(v, 1 << v, inc[v]) for v in _sequence(inc)]
     check_every = 512
     timed_out = False
-    # A node is (rem, live, picked): the edges not yet hit, the vertices
-    # neither picked nor excluded, and the picked vertices.  Every edge of
-    # rem has two or more live vertices.  Depth first; the "take" child is
-    # pushed last so it is searched first.
-    stack = [(rem, live & ~picked, picked)]
+    # A node is (rem, live, picked, tiers): the edges not yet hit, the
+    # vertices neither picked nor excluded, the picked vertices and the
+    # tiers.  Depth first; the "take" child is pushed last so it is
+    # searched first.
+    stack = [_root(masks, inc)]
     while stack:
-        rem, live, picked = stack.pop()
+        node = stack.pop()
+        rem, live, picked, tiers = node
         nodes += 1
         if nodes % check_every == 0 and time.monotonic() > deadline:
             timed_out = True
@@ -236,21 +318,15 @@ def _search(
                 if size <= target:
                     break
             continue
-        if size + _matching(masks, inc, rem, live, best_size - size) >= best_size:
+        if size + _matching(masks, inc, tiers, rem, live, best_size - size) >= best_size:
             continue
-        v, pairs = _top_vertex(inc, rem, live)
-        bit = 1 << v
-        live &= ~bit
-        # without v, an edge of v with one other live vertex forces that one
-        unit = inc[v] & pairs
-        without_rem, without_picked = rem, picked
-        while unit:
-            u = (masks[(unit & -unit).bit_length() - 1] & live).bit_length() - 1
-            without_picked |= 1 << u
-            without_rem &= ~inc[u]
-            unit &= without_rem
-        stack.append((without_rem, live & ~without_picked, without_picked))
-        stack.append((rem & ~inc[v], live, picked | bit))
+        best = 0
+        for u, bit, edges in order:
+            if live & bit:
+                degree = (edges & rem).bit_count()
+                if degree > best:
+                    best, v = degree, u
+        stack.extend(_children(masks, inc, node, v))
 
     return best_mask, target if timed_out else best_size, nodes, timed_out
 

@@ -125,6 +125,12 @@ def test_poset_transversal_bound_fails_without_budget(cs_cache):
     assert not report.details["optimal"]
 
 
+@pytest.mark.parametrize("lemma", [lid.value for lid in LemmaId if lid is not LemmaId.EVEN_FACETS])
+def test_only_even_facets_takes_m(lemma):
+    with pytest.raises(InvalidParameters, match="does not take m"):
+        verify_lemma(lemma, 2, 8, m=3)
+
+
 def test_bdl_rejects_an_empty_poset():
     with pytest.raises(InvalidParameters):
         verify_lemma(LemmaId.BDL, 4, 5)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from helpers import brute_force_transversal, milp_transversal
@@ -133,9 +133,9 @@ def test_exact_matches_brute_force_on_random_hypergraphs():
 @pytest.mark.parametrize(
     "build, nodes, hitting_set",
     [
-        (lambda: cs_sphere(3, 14), 1189, {s * v for v in (2, 6, 7, 10, 11, 14) for s in (1, -1)}),
-        (lambda: cs_sphere(4, 12), 271, {-10, -9, -6, -5, 4, 5, 9, 10}),
-        (lambda: cyclic_boundary(4, 20), 693, {1, 3, 5, 7, 9, 11, 13, 15, 17}),
+        (lambda: cs_sphere(3, 14), 525, {s * v for v in (2, 6, 7, 10, 11, 14) for s in (1, -1)}),
+        (lambda: cs_sphere(4, 12), 181, {-10, -9, -6, -5, 4, 5, 9, 10}),
+        (lambda: cyclic_boundary(4, 20), 481, {1, 3, 5, 7, 9, 11, 13, 15, 17}),
     ],
     ids=["cs-3-14", "cs-4-12", "cyclic-4-20"],
 )
@@ -149,6 +149,19 @@ def test_search_order_and_bounds_are_pinned(build, nodes, hitting_set):
     assert (lower, count, timed_out) == (len(hitting_set), nodes, False)
 
 
+def test_vertex_sequence_follows_shared_edges():
+    # starts at the vertex in the fewest edges (4), follows the most shared
+    # edges, breaks the 1-2 tie by edges shared with all placed (equal) and
+    # then by index, and jumps to the fewest edges (5 before 7) when nothing
+    # left shares an edge with the last vertex placed
+    h = Hypergraph(range(1, 8), [(1, 2), (1, 3), (2, 3), (3, 4), (5, 6), (6, 7), (5, 6, 7)])
+    _, inc = transversal._incidence(h.vertices, h.edges)
+    assert [h.vertices[i] for i in transversal._sequence(inc)] == [4, 3, 1, 2, 5, 6, 7]
+    h = facet_hypergraph(cyclic_boundary(4, 27))
+    _, inc = transversal._incidence(h.vertices, h.edges)
+    assert [h.vertices[i] for i in transversal._sequence(inc)] == list(range(1, 28))
+
+
 def disjoint_copies(facets, copies):
     """Copy j moves label v to sign(v) * (|v| + j * m), m the largest |label|."""
     m = max(abs(v) for f in facets for v in f)
@@ -158,19 +171,20 @@ def disjoint_copies(facets, copies):
 @pytest.mark.parametrize(
     "build, nodes, hitting_set",
     [
-        (lambda: cs_sphere(3, 14), 99, {s * v for v in (2, 6, 7, 10, 11, 14) for s in (1, -1)}),
-        (lambda: cs_sphere(4, 12), 67, {-10, -9, -6, -5, 4, 5, 9, 10}),
+        (lambda: cs_sphere(3, 14), 77, {s * v for v in (2, 6, 7, 10, 11, 14) for s in (1, -1)}),
+        (lambda: cs_sphere(4, 12), 35, {-10, -9, -6, -5, 4, 5, 9, 10}),
         # the floor is tau here and the greedy seed two above it, so the
         # search runs until its incumbent reaches the floor
-        (lambda: cs_sphere(4, 13), 100, {s * v for v in (5, 6, 10, 11) for s in (1, -1)}),
+        (lambda: cs_sphere(4, 13), 60, {s * v for v in (5, 6, 10, 11) for s in (1, -1)}),
+        (lambda: cs_sphere(5, 16), 5844, {s * v for v in (2, 8, 9, 12, 13, 16) for s in (1, -1)}),
         (
             lambda: PureComplex(disjoint_copies(cs_sphere(3, 9).facets, 3)),
-            672,
+            462,
             {-27, -24, -23, -22, -21, -18, -15, -14, -13, -12, -9, -6, -5, -4, -3,
              5, 6, 9, 14, 15, 18, 23, 24, 27},
         ),
     ],
-    ids=["cs-3-14", "cs-4-12", "cs-4-13", "3-copies-cs-3-9"],
+    ids=["cs-3-14", "cs-4-12", "cs-4-13", "cs-5-16", "3-copies-cs-3-9"],
 )
 def test_block_bound_certificates_are_pinned(build, nodes, hitting_set):
     # the sign-class floor (cs spheres), and the component split with each
@@ -257,13 +271,68 @@ def test_solver_properties_on_signed_and_disconnected_hypergraphs(instance):
     check_solver_properties(*instance)
 
 
+def check_node(masks, node):
+    """rem is the edges the picked vertices miss, each with two or more
+    live vertices, and tier j & rem is those with exactly j + 2."""
+    rem, live, picked, tiers = node
+    assert not live & picked
+    assert rem == sum(1 << j for j, m in enumerate(masks) if not m & picked)
+    counts = {j: (m & live).bit_count() for j, m in enumerate(masks) if rem >> j & 1}
+    assert all(2 <= c <= len(tiers) + 1 for c in counts.values())
+    recount = [sum(1 << j for j, c in counts.items() if c == k + 2) for k in range(len(tiers))]
+    assert [t & rem for t in tiers] == recount
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    hst.one_of(hypergraphs(), signed_hypergraphs()),
+    hst.lists(hst.tuples(hst.booleans(), hst.integers(0, 11)), max_size=12),
+)
+def test_carried_tiers_match_a_recount(instance, steps):
+    # the search never counts live vertices per edge; it carries the tiers
+    # from the root through every take, without and forced step
+    h = Hypergraph(*instance)
+    assume(h.edges)
+    masks, inc = transversal._incidence(h.vertices, h.edges)
+    node = transversal._root(masks, inc)
+    check_node(masks, node)
+    for take, pick in steps:
+        rem, live, picked, _ = node
+        if not rem:
+            break
+        v = [u for u in range(len(inc)) if live >> u & 1][pick % live.bit_count()]
+        without, with_v = transversal._children(masks, inc, node, v)
+        # a forced vertex is the other live vertex of an edge of v
+        pairs = {masks[j] & live for j in range(len(masks)) if (rem & inc[v]) >> j & 1}
+        forced = without[2] & ~picked
+        assert all(1 << v | 1 << u in pairs for u in range(len(inc)) if forced >> u & 1)
+        node = with_v if take else without
+        check_node(masks, node)
+
+
+def signed_relabelling(facets):
+    """One fixed permutation of the labels 1..m with sign flips, extended
+    by v -> -image(-v) so antipodes stay antipodal."""
+    rng = random.Random(12)
+    m = max(abs(v) for f in facets for v in f)
+    image = list(range(1, m + 1))
+    rng.shuffle(image)
+    signed = [0] + [v * rng.choice((1, -1)) for v in image]
+    return [tuple(signed[v] if v > 0 else -signed[-v] for v in f) for f in facets]
+
+
 @pytest.mark.parametrize(
     "build, tau",
     [
         (lambda: cs_sphere(3, 20), 18),
+        (lambda: PureComplex(signed_relabelling(cs_sphere(3, 20).facets)), 18),
+        (lambda: cyclic_boundary(4, 20), 9),
+        (lambda: PureComplex(signed_relabelling(cyclic_boundary(4, 20).facets)), 9),
         (lambda: PureComplex(disjoint_copies(cs_sphere(3, 9).facets, 3)), 24),
     ],
-    ids=["cs-3-20", "3-copies-cs-3-9"],
+    ids=[
+        "cs-3-20", "cs-3-20-relabelled", "cyclic-4-20", "cyclic-4-20-relabelled", "3-copies-cs-3-9"
+    ],
 )
 def test_exact_agrees_with_the_milp_oracle(build, tau):
     h = facet_hypergraph(build())
@@ -322,17 +391,17 @@ def test_zero_budget_returns_the_greedy_seed_and_matching_bound(cs_cache):
 
 
 def test_budget_covers_the_greedy_seed(monkeypatch, cs_cache):
-    h = facet_hypergraph(cs_sphere(3, 11, cache=cs_cache))
+    h = facet_hypergraph(cs_sphere(3, 13, cache=cs_cache))
     assert exact_transversal(h).nodes_explored > 512
     now = [0.0]
     monkeypatch.setattr(transversal, "time", SimpleNamespace(monotonic=lambda: now[0]))
     top_vertex = transversal._top_vertex
     every_edge = (1 << len(h.edges)) - 1
 
-    def slow_top_vertex(inc, rem, live):
+    def slow_top_vertex(inc, rem):
         if rem == every_edge:
             now[0] = 100.0  # the greedy seed of the whole search outlasts the budget
-        return top_vertex(inc, rem, live)
+        return top_vertex(inc, rem)
 
     monkeypatch.setattr(transversal, "_top_vertex", slow_top_vertex)
     cert = exact_transversal(h, time_budget=10.0)
