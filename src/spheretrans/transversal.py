@@ -5,11 +5,8 @@ bound and exact solver share one core over python-int bitsets: each edge
 is a mask over the sorted labels, and its transpose inc[v] is the mask of
 the edge positions that contain vertex v.  A set of edges is then one
 int, the degree of v among the edges R is (inc[v] & R).bit_count(), and
-taking v removes inc[v] from R in one operation.  The greedy cover and
-the solver's branching take the vertex of highest degree among the edges
-not yet hit.  The greedy cover breaks ties by the smallest label; the
-search breaks them by a vertex sequence that depends on the incidences
-alone (_sequence), so relabelling an input barely moves its node count.
+taking v removes inc[v] from R in one operation.  The greedy cover takes
+the vertex in the most edges not yet hit, ties to the smallest label.
 
 The search is a deterministic branch and bound on an explicit stack: it
 seeds with the greedy cover, prunes with a greedy matching lower bound,
@@ -18,7 +15,10 @@ vertex count.  Taking a vertex never shrinks an edge that is left, so
 that child keeps the tiers, and units appear only at the root and in the
 child that excludes the branching vertex, whose edges move down a tier.
 The matching at a node takes the edges with two live vertices first,
-then those with three, and so on.
+then those with three, and so on.  The search branches on the live
+vertex in the most edges of the lowest tier with an edge left (MOMS:
+most occurrences in clauses of minimum size), ties to the most edges
+not yet hit, then to the smallest label.
 
 The exact solver wraps that search in one recursion over vertex blocks:
 for disjoint blocks V_1..V_k, tau(H) >= sum of tau(H[V_i]), with equality
@@ -171,35 +171,6 @@ def _matching(
     return count
 
 
-def _sequence(inc: list[int]) -> list[int]:
-    """A vertex order that does not depend on the labels: start at the
-    vertex in the fewest edges, then keep appending the vertex sharing
-    the most edges with the last one placed, ties to the one sharing the
-    most with all placed vertices, then to the smallest index.  When no
-    vertex left shares an edge with the last one, take the one left in
-    the fewest edges."""
-    degrees = [edges.bit_count() for edges in inc]
-    left = list(range(len(inc)))
-    shared = [0] * len(inc)
-    order: list[int] = []
-    last = -1
-    while left:
-        pick, most, total = -1, 0, -1
-        if last >= 0:
-            edges = inc[last]
-            for i in left:
-                s = (edges & inc[i]).bit_count()
-                shared[i] += s
-                if s > most or s == most and shared[i] > total:
-                    pick, most, total = i, s, shared[i]
-        if not most:
-            pick = min(left, key=degrees.__getitem__)
-        order.append(pick)
-        left.remove(pick)
-        last = pick
-    return order
-
-
 def greedy_transversal(h: Hypergraph) -> set[int]:
     """Repeatedly take the vertex covering the most uncovered edges
     (ties to the smallest label)."""
@@ -215,6 +186,25 @@ def matching_lower_bound(h: Hypergraph) -> int:
     masks, inc = _incidence(h.vertices, h.edges)
     rem, live = (1 << len(masks)) - 1, (1 << len(inc)) - 1
     return _matching(masks, inc, (rem,), rem, live, len(masks))
+
+
+def _branch_vertex(inc: list[int], tiers: tuple[int, ...], rem: int, live: int) -> int:
+    """Index of the live vertex in the most edges of the lowest tier with
+    an edge of rem left, ties to the most edges of rem, then to the
+    smallest index."""
+    for low in tiers:
+        low &= rem
+        if low:
+            break
+    top = most = 0
+    for u, edges in enumerate(inc):
+        if live >> u & 1:
+            count = (edges & low).bit_count()
+            if count and count >= top:
+                degree = (edges & rem).bit_count()
+                if count > top or degree > most:
+                    top, most, v = count, degree, u
+    return v
 
 
 # A search node: (rem, live, picked, tiers), see _search.
@@ -280,9 +270,9 @@ def _search(
 
     A node carries its edges in tiers by live vertex count (_root), and
     its matching bound takes the edges with two live vertices first,
-    then those with three, and so on.  It branches on the live vertex in
-    the most edges of rem, ties to the one that comes first in
-    _sequence, so the node count depends little on the labels.
+    then those with three, and so on.  It branches on _branch_vertex: the
+    live vertex in the most edges of the lowest tier with an edge of rem
+    left, ties to the most edges of rem, then to the smallest index.
     """
     expired = time.monotonic() >= deadline
     rem = (1 << len(masks)) - 1
@@ -295,7 +285,6 @@ def _search(
     if expired:
         return best_mask, target, nodes, True
 
-    order = [(v, 1 << v, inc[v]) for v in _sequence(inc)]
     check_every = 512
     timed_out = False
     # A node is (rem, live, picked, tiers): the edges not yet hit, the
@@ -320,13 +309,7 @@ def _search(
             continue
         if size + _matching(masks, inc, tiers, rem, live, best_size - size) >= best_size:
             continue
-        best = 0
-        for u, bit, edges in order:
-            if live & bit:
-                degree = (edges & rem).bit_count()
-                if degree > best:
-                    best, v = degree, u
-        stack.extend(_children(masks, inc, node, v))
+        stack.extend(_children(masks, inc, node, _branch_vertex(inc, tiers, rem, live)))
 
     return best_mask, target if timed_out else best_size, nodes, timed_out
 

@@ -23,6 +23,9 @@ from spheretrans import (
     greedy_transversal,
     is_transversal,
     matching_lower_bound,
+    relative_squeezed_ball,
+    sew,
+    sewing_antichain,
     transversal_ratio,
 )
 from spheretrans import complexes, cs_family, transversal
@@ -133,9 +136,9 @@ def test_exact_matches_brute_force_on_random_hypergraphs():
 @pytest.mark.parametrize(
     "build, nodes, hitting_set",
     [
-        (lambda: cs_sphere(3, 14), 525, {s * v for v in (2, 6, 7, 10, 11, 14) for s in (1, -1)}),
-        (lambda: cs_sphere(4, 12), 181, {-10, -9, -6, -5, 4, 5, 9, 10}),
-        (lambda: cyclic_boundary(4, 20), 481, {1, 3, 5, 7, 9, 11, 13, 15, 17}),
+        (lambda: cs_sphere(3, 14), 325, {s * v for v in (2, 6, 7, 10, 11, 14) for s in (1, -1)}),
+        (lambda: cs_sphere(4, 12), 119, {-10, -9, -6, -5, 4, 5, 9, 10}),
+        (lambda: cyclic_boundary(4, 20), 179, {1, 3, 5, 7, 9, 11, 13, 15, 17}),
     ],
     ids=["cs-3-14", "cs-4-12", "cyclic-4-20"],
 )
@@ -149,19 +152,6 @@ def test_search_order_and_bounds_are_pinned(build, nodes, hitting_set):
     assert (lower, count, timed_out) == (len(hitting_set), nodes, False)
 
 
-def test_vertex_sequence_follows_shared_edges():
-    # starts at the vertex in the fewest edges (4), follows the most shared
-    # edges, breaks the 1-2 tie by edges shared with all placed (equal) and
-    # then by index, and jumps to the fewest edges (5 before 7) when nothing
-    # left shares an edge with the last vertex placed
-    h = Hypergraph(range(1, 8), [(1, 2), (1, 3), (2, 3), (3, 4), (5, 6), (6, 7), (5, 6, 7)])
-    _, inc = transversal._incidence(h.vertices, h.edges)
-    assert [h.vertices[i] for i in transversal._sequence(inc)] == [4, 3, 1, 2, 5, 6, 7]
-    h = facet_hypergraph(cyclic_boundary(4, 27))
-    _, inc = transversal._incidence(h.vertices, h.edges)
-    assert [h.vertices[i] for i in transversal._sequence(inc)] == list(range(1, 28))
-
-
 def disjoint_copies(facets, copies):
     """Copy j moves label v to sign(v) * (|v| + j * m), m the largest |label|."""
     m = max(abs(v) for f in facets for v in f)
@@ -171,15 +161,15 @@ def disjoint_copies(facets, copies):
 @pytest.mark.parametrize(
     "build, nodes, hitting_set",
     [
-        (lambda: cs_sphere(3, 14), 77, {s * v for v in (2, 6, 7, 10, 11, 14) for s in (1, -1)}),
-        (lambda: cs_sphere(4, 12), 35, {-10, -9, -6, -5, 4, 5, 9, 10}),
+        (lambda: cs_sphere(3, 14), 63, {s * v for v in (2, 6, 7, 10, 11, 14) for s in (1, -1)}),
+        (lambda: cs_sphere(4, 12), 25, {-10, -9, -6, -5, 4, 5, 9, 10}),
         # the floor is tau here and the greedy seed two above it, so the
         # search runs until its incumbent reaches the floor
-        (lambda: cs_sphere(4, 13), 60, {s * v for v in (5, 6, 10, 11) for s in (1, -1)}),
-        (lambda: cs_sphere(5, 16), 5844, {s * v for v in (2, 8, 9, 12, 13, 16) for s in (1, -1)}),
+        (lambda: cs_sphere(4, 13), 56, {s * v for v in (5, 6, 10, 11) for s in (1, -1)}),
+        (lambda: cs_sphere(5, 16), 2726, {s * v for v in (2, 6, 7, 10, 11, 16) for s in (1, -1)}),
         (
             lambda: PureComplex(disjoint_copies(cs_sphere(3, 9).facets, 3)),
-            462,
+            372,
             {-27, -24, -23, -22, -21, -18, -15, -14, -13, -12, -9, -6, -5, -4, -3,
              5, 6, 9, 14, 15, 18, 23, 24, 27},
         ),
@@ -271,6 +261,35 @@ def test_solver_properties_on_signed_and_disconnected_hypergraphs(instance):
     check_solver_properties(*instance)
 
 
+def test_branch_vertex_takes_the_most_edges_of_the_lowest_tier():
+    # 1 is in the most edges, 2 in the most edges with two live vertices
+    edges = [(1, 3, 4), (1, 5, 6), (1, 7, 8), (1, 4, 7), (2, 3), (2, 5), (6, 8)]
+    h = Hypergraph(range(1, 9), edges)
+    masks, inc = transversal._incidence(h.vertices, h.edges)
+    root = transversal._root(masks, inc)
+    rem, live, _, tiers = root
+    assert h.vertices[transversal._top_vertex(inc, rem)] == 1
+    assert h.vertices[transversal._branch_vertex(inc, tiers, rem, live)] == 2
+    without, with_2 = transversal._children(masks, inc, root, h.vertices.index(2))
+    # 6 and 8 tie on the one edge left with two live vertices: without 2,
+    # which forces 3 and 5, 8 is in more edges of rem; with 2 they tie
+    # there too and the smaller index wins
+    for node, top in ((without, 8), (with_2, 6)):
+        rem, live, _, tiers = node
+        assert h.vertices[transversal._branch_vertex(inc, tiers, rem, live)] == top
+
+
+def recount_branch_vertex(masks, inc, rem, live):
+    """The branching rule from scratch: among the live vertices on an
+    edge of rem with the fewest live vertices, the one in the most such
+    edges, then in the most edges of rem, then the smallest index."""
+    counts = {j: (m & live).bit_count() for j, m in enumerate(masks) if rem >> j & 1}
+    fewest = min(counts.values())
+    low = sum(1 << j for j, c in counts.items() if c == fewest)
+    on_low = [u for u in range(len(inc)) if live >> u & 1 and inc[u] & low]
+    return max(on_low, key=lambda u: ((inc[u] & low).bit_count(), (inc[u] & rem).bit_count(), -u))
+
+
 def check_node(masks, node):
     """rem is the edges the picked vertices miss, each with two or more
     live vertices, and tier j & rem is those with exactly j + 2."""
@@ -290,16 +309,20 @@ def check_node(masks, node):
 )
 def test_carried_tiers_match_a_recount(instance, steps):
     # the search never counts live vertices per edge; it carries the tiers
-    # from the root through every take, without and forced step
+    # from the root through every take, without and forced step, and
+    # branches on the vertex they single out
     h = Hypergraph(*instance)
     assume(h.edges)
     masks, inc = transversal._incidence(h.vertices, h.edges)
     node = transversal._root(masks, inc)
     check_node(masks, node)
     for take, pick in steps:
-        rem, live, picked, _ = node
+        rem, live, picked, tiers = node
         if not rem:
             break
+        assert transversal._branch_vertex(inc, tiers, rem, live) == recount_branch_vertex(
+            masks, inc, rem, live
+        )
         v = [u for u in range(len(inc)) if live >> u & 1][pick % live.bit_count()]
         without, with_v = transversal._children(masks, inc, node, v)
         # a forced vertex is the other live vertex of an edge of v
@@ -329,9 +352,17 @@ def signed_relabelling(facets):
         (lambda: cyclic_boundary(4, 20), 9),
         (lambda: PureComplex(signed_relabelling(cyclic_boundary(4, 20).facets)), 9),
         (lambda: PureComplex(disjoint_copies(cs_sphere(3, 9).facets, 3)), 24),
+        (lambda: PureComplex(signed_relabelling(cyclic_boundary(4, 27).facets)), 13),
+        (
+            lambda: sew(
+                cyclic_boundary(6, 20), relative_squeezed_ball(sewing_antichain(3, 20)), 21
+            ),
+            9,
+        ),
     ],
     ids=[
-        "cs-3-20", "cs-3-20-relabelled", "cyclic-4-20", "cyclic-4-20-relabelled", "3-copies-cs-3-9"
+        "cs-3-20", "cs-3-20-relabelled", "cyclic-4-20", "cyclic-4-20-relabelled",
+        "3-copies-cs-3-9", "cyclic-4-27-relabelled", "sewn-3-20",
     ],
 )
 def test_exact_agrees_with_the_milp_oracle(build, tau):
