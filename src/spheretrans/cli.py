@@ -14,8 +14,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import (
     PureComplex,
@@ -45,6 +43,7 @@ from .transversal import (
     facet_hypergraph,
     greedy_transversal,
     matching_lower_bound,
+    transversal_ratio,
 )
 
 CHECK_NAMES = ("pseudomanifold", "euler", "betti", "neighborly", "cs", "cs-neighborly")
@@ -261,74 +260,40 @@ def _cmd_lemmas(args) -> int:
     return 0 if report.passed else 1
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One line of the transversal ratio report; d is the facet
-    dimension of the complex and the mu bounds are exact rationals."""
-
-    family: str
-    d: int
-    n: int
-    f0: int
-    facet_count: int
-    tau_lower: int
-    tau_upper: int
-    optimal: bool
-    mu_lower: Fraction
-    mu_upper: Fraction
-    wall_time_ms: int
-
-
 CSV_HEADER = "family,d,n,f0,facet_count,tau_lower,tau_upper,optimal,mu_lower,mu_upper,wall_time_ms"
 
 
-def _csv_line(row: ReportRow) -> str:
-    return ",".join(
-        [
-            row.family,
-            str(row.d),
-            str(row.n),
-            str(row.f0),
-            str(row.facet_count),
-            str(row.tau_lower),
-            str(row.tau_upper),
-            "true" if row.optimal else "false",
-            str(row.mu_lower),
-            str(row.mu_upper),
-            str(row.wall_time_ms),
-        ]
-    )
-
-
 def _cmd_report(args) -> int:
+    """One CSV row per n; d is the facet dimension of the complex and the
+    mu bounds are exact rationals."""
     _require(args.n_from <= args.n_to, "--n-from must be <= --n-to")
-    rows = []
+    lines = []
     for n in range(args.n_from, args.n_to + 1):
         started = time.monotonic()
         delta, _ = _construct(args.family, d=args.d, n=n, k=args.k)
         cert = exact_transversal(facet_hypergraph(delta), time_budget=args.budget)
         elapsed = int(round((time.monotonic() - started) * 1000))
-        f0 = delta.vertex_count
-        row = ReportRow(
-            family=args.family,
-            d=delta.dimension,
-            n=n,
-            f0=f0,
-            facet_count=len(delta),
-            tau_lower=cert.lower_bound,
-            tau_upper=cert.upper_bound,
-            optimal=cert.optimal,
-            mu_lower=Fraction(cert.lower_bound, f0),
-            mu_upper=Fraction(cert.upper_bound, f0),
-            wall_time_ms=elapsed,
+        mu_lower, mu_upper = transversal_ratio(delta, cert)
+        row = (
+            args.family,
+            delta.dimension,
+            n,
+            delta.vertex_count,
+            len(delta),
+            cert.lower_bound,
+            cert.upper_bound,
+            "true" if cert.optimal else "false",
+            mu_lower,
+            mu_upper,
+            elapsed,
         )
-        rows.append(row)
-        print(_csv_line(row))
+        lines.append(",".join(str(v) for v in row))
+        print(lines[-1])
     with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(_csv_line(row) + "\n")
-    print(f"wrote {len(rows)} rows to {args.csv}")
+        for line in lines:
+            fh.write(line + "\n")
+    print(f"wrote {len(lines)} rows to {args.csv}")
     return 0
 
 

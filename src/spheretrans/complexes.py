@@ -279,9 +279,12 @@ def _face_layers(delta: PureComplex, max_faces: int, total: int = 0) -> Iterator
 class PseudomanifoldReport:
     """Outcome of the closed-pseudomanifold check, with witnesses."""
 
-    ridges_ok: bool
     connected: bool
     bad_ridges: tuple[Face, ...]
+
+    @property
+    def ridges_ok(self) -> bool:
+        return not self.bad_ridges
 
     @property
     def passed(self) -> bool:
@@ -315,7 +318,7 @@ def is_closed_pseudomanifold(delta: PureComplex) -> PseudomanifoldReport:
                     seen.add(G)
                     stack.append(G)
     connected = len(seen) == len(facets)
-    return PseudomanifoldReport(ridges_ok=not bad, connected=connected, bad_ridges=bad)
+    return PseudomanifoldReport(connected=connected, bad_ridges=bad)
 
 
 def gf2_betti(delta: PureComplex, max_faces: int = 2_000_000) -> tuple[int, ...]:

@@ -3,11 +3,14 @@
 Each check enumerates a candidate family verbatim from its printed
 ranges and tests the claimed property against independently built
 complexes, reporting every failing candidate instead of stopping at
-the first.  The checks:
+the first.  The four face-family checks share one test: each candidate
+must be a facet of a host complex, and the failures are the candidates
+missing from the host's facet set, in candidate order.
 
 * RSQ_FACETS: six families of faces each contained in exactly one facet
-  of the relative squeezed ball of the crossing antichain (hence lying
-  on its boundary sphere).
+  of the relative squeezed ball of the crossing antichain.  A face one
+  vertex short of a facet lies in exactly one facet iff it is a ridge
+  counted once, so the host is the ball's boundary sphere.
 * PN_FACETS: signed pair sets that are facets of the odd cs sphere
   minus both replacement balls.
 * EVEN_FACETS: signed pair sets with a three-element tail (and their
@@ -26,11 +29,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-from .complexes import Face, PureComplex, face, negate
+from .complexes import Face, boundary, face, negate
 from .cs_family import cs_ball, cs_sphere
 from .errors import InvalidParameters
 from .squeezed import (
-    enumerate_pair_poset,
+    _pair_unions,
     neighborly_antichain,
     relative_squeezed_ball,
 )
@@ -64,26 +67,13 @@ class LemmaReport:
 def _signed_pair_sets(k: int, n: int) -> list[Face]:
     """All 2k-sets of +-1..+-n made of k same-signed pairs whose absolute
     values increase, the first pair consecutive and later pairs spread
-    by two, with a gap after each pair."""
-    if k < 1:
-        raise InvalidParameters("need k >= 1")
-    skeletons: list[tuple[tuple[int, int], ...]] = []
-
-    def extend(pairs: list[tuple[int, int]], lo: int) -> None:
-        if len(pairs) == k:
-            skeletons.append(tuple(pairs))
-            return
-        gap = 1 if not pairs else 2
-        for a in range(lo, n + 1):
-            if a + gap > n:
-                break
-            extend(pairs + [(a, a + gap)], a + gap + 1)
-
-    extend([], 1)
+    by two, with a gap after each pair.  The pairs start at c_0 and at
+    c_j + 2j - 1 for the k-subsets c of [1, n-2k+1]."""
     out = []
-    for sk in skeletons:
+    for c in itertools.combinations(range(1, n - 2 * k + 2), k):
+        pairs = [(c[0], c[0] + 1)] + [(c[j] + 2 * j - 1, c[j] + 2 * j + 1) for j in range(1, k)]
         for signs in itertools.product((1, -1), repeat=k):
-            out.append(face(s * v for s, pair in zip(signs, sk) for v in pair))
+            out.append(face(s * v for s, pair in zip(signs, pairs) for v in pair))
     return out
 
 
@@ -94,18 +84,18 @@ def _rsq_candidates(k: int, n: int) -> list[Face]:
         raise InvalidParameters(f"need n >= {2 * k + 1}")
     out: list[Face] = []
     for i in range(1, n // 2 - k + 2):
-        for h in enumerate_pair_poset(k - 2, i + 2, n - i):
-            out.append(face((i, i + 1) + h.face() + (n - i + 1,)))
-        for h in enumerate_pair_poset(k - 2, i + 2, n - i - 2):
-            out.append(face((i, i + 1) + h.face() + (n - i - 1,)))
-        for h in enumerate_pair_poset(k - 2, i + 2, n - i - 1):
-            out.append(face((i + 1,) + h.face() + (n - i, n - i + 1)))
-        for h in enumerate_pair_poset(k - 2, i + 2, n - i - 2):
-            out.append(face((i,) + h.face() + (n - i - 1, n - i)))
-    for h in enumerate_pair_poset(k - 2, 2, n - 2):
-        out.append(face((1,) + h.face() + (n - 1, n)))
-    for h in enumerate_pair_poset(k - 1, n // 2 - k + 3, (n + 1) // 2 + k):
-        out.append(face((n // 2 - k + 2,) + h.face()))
+        for h in _pair_unions(k - 2, i + 2, n - i):
+            out.append(face((i, i + 1) + h + (n - i + 1,)))
+        for h in _pair_unions(k - 2, i + 2, n - i - 2):
+            out.append(face((i, i + 1) + h + (n - i - 1,)))
+        for h in _pair_unions(k - 2, i + 2, n - i - 1):
+            out.append(face((i + 1,) + h + (n - i, n - i + 1)))
+        for h in _pair_unions(k - 2, i + 2, n - i - 2):
+            out.append(face((i,) + h + (n - i - 1, n - i)))
+    for h in _pair_unions(k - 2, 2, n - 2):
+        out.append(face((1,) + h + (n - 1, n)))
+    for h in _pair_unions(k - 1, n // 2 - k + 3, (n + 1) // 2 + k):
+        out.append(face((n // 2 - k + 2,) + h))
     return out
 
 
@@ -117,25 +107,22 @@ def generate_candidates(lemma_id: LemmaId | str, k: int, n: int) -> list[Face]:
     lid = LemmaId(lemma_id)
     if lid is LemmaId.RSQ_FACETS:
         return _rsq_candidates(k, n)
+    if lid in (LemmaId.CHAIN, LemmaId.BDL):
+        raise InvalidParameters(f"{lid.value} has no face candidates")
+    if k < 2:
+        raise InvalidParameters("need k >= 2")
     if lid is LemmaId.PN_FACETS:
-        if k < 2:
-            raise InvalidParameters("need k >= 2")
         return _signed_pair_sets(k, n)
-    if lid is LemmaId.EVEN_FACETS:
-        if k < 2:
-            raise InvalidParameters("need k >= 2")
-        out = []
-        for g in _signed_pair_sets(k - 1, n - 3):
-            for tail in ((n - 2, n - 1, n + 1), (n - 2, n, n + 1)):
-                cand = face(g + tail)
-                out.append(cand)
-                out.append(face(-v for v in cand))  # closed under negation
-        return out
+    heads = _signed_pair_sets(k - 1, n - 3)
     if lid is LemmaId.BALL_FACET:
-        if k < 2:
-            raise InvalidParameters("need k >= 2")
-        return [face(g + (n - 2, n - 1, n)) for g in _signed_pair_sets(k - 1, n - 3)]
-    raise InvalidParameters(f"{lid.value} has no face candidates")
+        return [face(g + (n - 2, n - 1, n)) for g in heads]
+    out = []
+    for g in heads:
+        for tail in ((n - 2, n - 1, n + 1), (n - 2, n, n + 1)):
+            cand = face(g + tail)
+            out.append(cand)
+            out.append(face(-v for v in cand))  # closed under negation
+    return out
 
 
 def _facets_outside_balls(
@@ -176,7 +163,9 @@ def verify_lemma(
     details: dict[str, Any] = {}
 
     if lid is LemmaId.BDL:
-        edges = [p.face() for p in enumerate_pair_poset(k, 1, n)]
+        if k < 1:
+            raise InvalidParameters("need k >= 1 and m >= 1")
+        edges = _pair_unions(k, 1, n)
         if not edges:
             raise InvalidParameters(f"pair poset on [1, {n}] is empty for k={k}")
         cert = exact_transversal(
@@ -208,38 +197,26 @@ def verify_lemma(
         )
         return LemmaReport(lid, params, checked, tuple(bad), details)
 
+    # the face families: every candidate is a facet of the host
     cands = generate_candidates(lid, k, n)
-
     if lid is LemmaId.RSQ_FACETS:
+        # a (2k-1)-face lies in exactly one facet of the ball iff it is a
+        # ridge counted once, that is a facet of the ball's boundary
         ball = relative_squeezed_ball(neighborly_antichain(k, n))
-        facet_sets = [set(F) for F in ball.sorted_facets()]
-        bad = []
-        for c in cands:
-            cv = set(c)
-            hits = sum(1 for F in facet_sets if cv <= F)
-            if hits != 1:
-                bad.append(c)
-        details["ball_facets"] = len(facet_sets)
-        return LemmaReport(lid, params, len(cands), tuple(bad), details)
-
-    if lid is LemmaId.PN_FACETS:
-        allowed = _facets_outside_balls(2 * k - 1, k - 1, n, cache)
-        bad = [c for c in cands if c not in allowed]
-        details["allowed_facets"] = len(allowed)
-        return LemmaReport(lid, params, len(cands), tuple(bad), details)
-
-    if lid is LemmaId.EVEN_FACETS:
+        host = boundary(ball).facets
+        details["ball_facets"] = len(ball)
+    elif lid is LemmaId.BALL_FACET:
+        host = cs_ball(2 * k, k - 1, n, cache=cache).facets
+        details["ball_facets"] = len(host)
+    elif lid is LemmaId.PN_FACETS:
+        host = _facets_outside_balls(2 * k - 1, k - 1, n, cache)
+        details["allowed_facets"] = len(host)
+    else:
         mm = n + 1 if m is None else m
         if mm <= n:
             raise InvalidParameters(f"need m > n, got m={mm}")
-        params = {"k": k, "n": n, "m": mm}
-        allowed = _facets_outside_balls(2 * k, k - 1, mm, cache)
-        bad = [c for c in cands if c not in allowed]
-        details["allowed_facets"] = len(allowed)
-        return LemmaReport(lid, params, len(cands), tuple(bad), details)
-
-    # BALL_FACET
-    ball = cs_ball(2 * k, k - 1, n, cache=cache)
-    bad = [c for c in cands if c not in ball.facets]
-    details["ball_facets"] = len(ball.facets)
+        params["m"] = mm
+        host = _facets_outside_balls(2 * k, k - 1, mm, cache)
+        details["allowed_facets"] = len(host)
+    bad = [c for c in cands if c not in host]
     return LemmaReport(lid, params, len(cands), tuple(bad), details)

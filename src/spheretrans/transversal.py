@@ -6,7 +6,9 @@ is a mask over the sorted labels, and its transpose inc[v] is the mask of
 the edge positions that contain vertex v.  A set of edges is then one
 int, the degree of v among the edges R is (inc[v] & R).bit_count(), and
 taking v removes inc[v] from R in one operation.  The greedy cover takes
-the vertex in the most edges not yet hit, ties to the smallest label.
+the vertex in the most edges not yet hit, ties to the smallest label:
+the search's branching rule below, with every edge not yet hit in one
+tier.
 
 The search is a deterministic branch and bound on an explicit stack: it
 seeds with the greedy cover, prunes with a greedy matching lower bound,
@@ -126,24 +128,14 @@ def _labels(mask: int, labels: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v for i, v in enumerate(labels) if mask >> i & 1)
 
 
-def _top_vertex(inc: list[int], rem: int) -> int:
-    """Index of the vertex in the most edges of rem, ties to the smallest."""
-    top = -1
-    best = 0
-    for v, edges in enumerate(inc):
-        degree = (edges & rem).bit_count()
-        if degree > best:
-            best = degree
-            top = v
-    return top
-
-
 def _greedy(inc: list[int], rem: int) -> int:
-    """Mask of the greedy cover of rem: take _top_vertex until every edge
-    is hit."""
+    """Mask of the greedy cover of rem: take _branch_vertex with the one
+    tier rem, the vertex in the most edges of rem, ties to the smallest
+    index, until every edge is hit."""
+    live = (1 << len(inc)) - 1
     picked = 0
     while rem:
-        v = _top_vertex(inc, rem)
+        v = _branch_vertex(inc, (rem,), rem, live)
         picked |= 1 << v
         rem &= ~inc[v]
     return picked

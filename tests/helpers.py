@@ -4,8 +4,10 @@ the integer program with HiGHS, the Gale oracle checks the textbook
 all-pairs condition, the cs neighborliness oracle tests every
 antipode-free subset and the Betti oracle ranks the full boundary
 matrices densely mod 2, and the stacked sphere oracle rescans every
-facet for the lex-smallest one at each step.  facet_lists draws small
-pure complexes as plain facet lists."""
+facet for the lex-smallest one at each step.  The lemma oracles count
+the facets containing a face by scanning every facet, and build the
+signed pair sets pair by pair.  facet_lists draws small pure complexes
+as plain facet lists."""
 
 import itertools
 
@@ -104,6 +106,37 @@ def cs_neighborly_by_enumeration(facets, k):
         if not any(set(cand) <= f for f in facet_sets):
             return False
     return True
+
+
+def facets_containing(facets, f):
+    """Number of the facets that contain f, by scanning all of them."""
+    fv = set(f)
+    return sum(1 for F in facets if fv <= set(F))
+
+
+def signed_pair_sets_by_recursion(k, n):
+    """The signed pair sets of the pn, even-facets and ball-facet
+    candidates, pair by pair: the first pair {a, a+1} with a >= 1, each
+    later one {a, a+2} with a above the previous pair's top, all inside
+    [1, n]; then every sign per pair, + before -."""
+    skeletons = []
+
+    def extend(pairs, lo):
+        if len(pairs) == k:
+            skeletons.append(tuple(pairs))
+            return
+        gap = 1 if not pairs else 2
+        for a in range(lo, n + 1):
+            if a + gap > n:
+                break
+            extend(pairs + [(a, a + gap)], a + gap + 1)
+
+    extend([], 1)
+    out = []
+    for sk in skeletons:
+        for signs in itertools.product((1, -1), repeat=k):
+            out.append(tuple(sorted(s * v for s, pair in zip(signs, sk) for v in pair)))
+    return out
 
 
 def gf2_rank_dense(matrix):

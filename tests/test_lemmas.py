@@ -1,13 +1,22 @@
+import itertools
+import math
+
 import pytest
 
+from helpers import facets_containing, signed_pair_sets_by_recursion
 from spheretrans import (
     LemmaId,
+    PureComplex,
+    boundary,
     cs_ball,
     cs_sphere,
     generate_candidates,
     negate,
+    neighborly_antichain,
+    relative_squeezed_ball,
     verify_lemma,
 )
+from spheretrans import lemmas
 from spheretrans.errors import InvalidParameters
 
 
@@ -30,6 +39,42 @@ def test_boundary_face_candidates():
         (5, 6, 7, 9, 10),
         (5, 7, 8, 9, 10),
     ]
+
+
+@pytest.mark.parametrize("k, n", [(3, 13), (3, 14), (3, 16), (4, 9), (4, 12), (4, 15)])
+def test_one_containing_facet_means_a_boundary_facet(k, n):
+    # the rsq check tests membership in the boundary: a (2k-1)-set lies in
+    # exactly one facet of the ball iff it is a facet of the boundary
+    ball = relative_squeezed_ball(neighborly_antichain(k, n))
+    rim = boundary(ball).facets
+    ridges = sorted({F[:i] + F[i + 1:] for F in ball.facets for i in range(2 * k)})
+    every = itertools.combinations(range(1, n + 1), 2 * k - 1)
+    sampled = list(itertools.islice(every, 0, None, math.comb(n, 2 * k - 1) // 50 + 1))
+    assert any(facets_containing(ball.facets, s) == 2 for s in ridges)
+    assert any(not facets_containing(ball.facets, s) for s in sampled)
+    for s in generate_candidates(LemmaId.RSQ_FACETS, k, n) + ridges + sampled:
+        assert (facets_containing(ball.facets, s) == 1) == (s in rim), s
+
+
+@pytest.mark.parametrize("k, n", [(3, 13), (4, 12)])
+def test_rsq_failures_are_the_candidates_outside_one_facet(monkeypatch, k, n):
+    # without its last facet the ball loses the candidates that facet held,
+    # one of them listed twice
+    facets = relative_squeezed_ball(neighborly_antichain(k, n)).sorted_facets()[:-1]
+    monkeypatch.setattr(lemmas, "relative_squeezed_ball", lambda s: PureComplex(facets))
+    cands = generate_candidates(LemmaId.RSQ_FACETS, k, n)
+    expected = tuple(c for c in cands if facets_containing(facets, c) != 1)
+    report = verify_lemma(LemmaId.RSQ_FACETS, k, n)
+    assert len(set(expected)) < len(expected)
+    assert report.failures == expected
+    assert report.candidates_checked == len(cands)
+    assert report.details == {"ball_facets": len(facets)}
+
+
+def test_signed_pair_sets_match_the_recursive_oracle():
+    for k in range(1, 5):
+        for n in range(16):
+            assert lemmas._signed_pair_sets(k, n) == signed_pair_sets_by_recursion(k, n), (k, n)
 
 
 def test_signed_pair_candidates():

@@ -268,7 +268,8 @@ def test_branch_vertex_takes_the_most_edges_of_the_lowest_tier():
     masks, inc = transversal._incidence(h.vertices, h.edges)
     root = transversal._root(masks, inc)
     rem, live, _, tiers = root
-    assert h.vertices[transversal._top_vertex(inc, rem)] == 1
+    # with the one tier rem it is the greedy rule
+    assert h.vertices[transversal._branch_vertex(inc, (rem,), rem, live)] == 1
     assert h.vertices[transversal._branch_vertex(inc, tiers, rem, live)] == 2
     without, with_2 = transversal._children(masks, inc, root, h.vertices.index(2))
     # 6 and 8 tie on the one edge left with two live vertices: without 2,
@@ -426,15 +427,15 @@ def test_budget_covers_the_greedy_seed(monkeypatch, cs_cache):
     assert exact_transversal(h).nodes_explored > 512
     now = [0.0]
     monkeypatch.setattr(transversal, "time", SimpleNamespace(monotonic=lambda: now[0]))
-    top_vertex = transversal._top_vertex
+    branch_vertex = transversal._branch_vertex
     every_edge = (1 << len(h.edges)) - 1
 
-    def slow_top_vertex(inc, rem):
+    def slow_branch_vertex(inc, tiers, rem, live):
         if rem == every_edge:
             now[0] = 100.0  # the greedy seed of the whole search outlasts the budget
-        return top_vertex(inc, rem)
+        return branch_vertex(inc, tiers, rem, live)
 
-    monkeypatch.setattr(transversal, "_top_vertex", slow_top_vertex)
+    monkeypatch.setattr(transversal, "_branch_vertex", slow_branch_vertex)
     cert = exact_transversal(h, time_budget=10.0)
     assert cert.timed_out and not cert.optimal
     assert cert.nodes_explored == 512  # stopped at the first deadline check
