@@ -38,13 +38,7 @@ from .squeezed import (
     sewing_antichain,
     squeezed_ball,
 )
-from .transversal import (
-    exact_transversal,
-    facet_hypergraph,
-    greedy_transversal,
-    matching_lower_bound,
-    transversal_ratio,
-)
+from .transversal import exact_transversal, facet_hypergraph, transversal_ratio
 
 CHECK_NAMES = ("pseudomanifold", "euler", "betti", "neighborly", "cs", "cs-neighborly")
 
@@ -210,29 +204,22 @@ def _cmd_verify(args) -> int:
 def _cmd_transversal(args) -> int:
     delta = load_complex(args.infile)
     h = facet_hypergraph(delta)
-    if args.greedy:
-        t = greedy_transversal(h)
-        payload = {
-            "mode": "greedy",
-            "vertices": len(h.vertices),
-            "edges": len(h.edges),
-            "lower_bound": matching_lower_bound(h),
-            "upper_bound": len(t),
-            "hitting_set": sorted(t),
-        }
-    else:
-        cert = exact_transversal(h, time_budget=args.budget)
-        payload = {
-            "mode": "exact",
-            "vertices": len(h.vertices),
-            "edges": len(h.edges),
-            "lower_bound": cert.lower_bound,
-            "upper_bound": cert.upper_bound,
-            "optimal": cert.optimal,
-            "timed_out": cert.timed_out,
-            "nodes_explored": cert.nodes_explored,
-            "hitting_set": sorted(cert.hitting_set),
-        }
+    # a zero budget gives the greedy cover with the matching bound
+    cert = exact_transversal(h, time_budget=0 if args.greedy else args.budget)
+    payload = {
+        "mode": "greedy" if args.greedy else "exact",
+        "vertices": len(h.vertices),
+        "edges": len(h.edges),
+        "lower_bound": cert.lower_bound,
+        "upper_bound": cert.upper_bound,
+    }
+    if not args.greedy:
+        payload.update(
+            optimal=cert.optimal,
+            timed_out=cert.timed_out,
+            nodes_explored=cert.nodes_explored,
+        )
+    payload["hitting_set"] = sorted(cert.hitting_set)
     if args.json:
         print(json.dumps(payload, indent=2))
     else:

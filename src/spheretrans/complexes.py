@@ -306,10 +306,10 @@ def is_closed_pseudomanifold(delta: PureComplex) -> PseudomanifoldReport:
             by_ridge.setdefault(F[:i] + F[i + 1:], []).append(F)
     bad = tuple(sorted(r for r, fs in by_ridge.items() if len(fs) != 2))
 
-    # connectivity of the dual graph, walking shared ridges
-    facets = delta.sorted_facets()
-    seen = {facets[0]}
-    stack = [facets[0]]
+    # connectivity of the dual graph, walking shared ridges from any facet
+    start = next(iter(delta.facets))
+    seen = {start}
+    stack = [start]
     while stack:
         F = stack.pop()
         for i in range(len(F)):
@@ -317,7 +317,7 @@ def is_closed_pseudomanifold(delta: PureComplex) -> PseudomanifoldReport:
                 if G not in seen:
                     seen.add(G)
                     stack.append(G)
-    connected = len(seen) == len(facets)
+    connected = len(seen) == len(delta)
     return PseudomanifoldReport(connected=connected, bad_ridges=bad)
 
 

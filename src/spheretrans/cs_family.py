@@ -13,7 +13,7 @@ mutually recursive scheme together with the balls cs_ball(d, i, n):
   nothing);
 * the sphere on one more antipodal vertex pair replaces the ball
   B = cs_ball(d, ceil(d/2)-1, n) and its negation inside cs_sphere(d, n)
-  by the cones of their boundaries over +-(n+1).
+  by the cone of boundary(B) over n+1 and the negation of that cone.
 
 Every step asserts the structural facts it relies on (low-index balls
 sit facet-wise inside the sphere; B and -B share no facet) and raises
@@ -21,7 +21,8 @@ RecursionInvariantViolated otherwise.  Facets are canonical by
 construction, so no step re-validates them.  Results are memoized in a
 shared cache keyed by kind and parameters; pass cache={} to recompute
 from scratch.  Cached values are immutable, so sharing the default cache
-between threads is harmless.
+between threads is harmless.  Uncached rungs below a sphere are built
+in a loop first, so the recursion is O(d) deep for any n.
 """
 
 from __future__ import annotations
@@ -94,6 +95,9 @@ def _sphere(d: int, n: int, cache: dict) -> PureComplex:
     elif n == d + 1:
         val = cross_boundary(d + 1)
     else:
+        if ("sphere", d, n - 1) not in cache:
+            for m in range(d + 2, n - 1):
+                _sphere(d, m, cache)
         prev = _sphere(d, n - 1, cache)
         b = _ball(d, (d + 1) // 2 - 1, n - 1, cache)
         nb = negate(b)
@@ -103,8 +107,7 @@ def _sphere(d: int, n: int, cache: dict) -> PureComplex:
             )
         kept = prev.facets - b.facets - nb.facets
         pos = join(boundary(b), simplex([n]))
-        neg = join(boundary(nb), simplex([-n]))
-        val = PureComplex._from_canonical(kept | pos.facets | neg.facets)
+        val = PureComplex._from_canonical(kept | pos.facets | negate(pos).facets)
     cache[key] = val
     return val
 
@@ -116,11 +119,8 @@ def _ball(d: int, i: int, n: int, cache: dict) -> PureComplex:
     hit = cache.get(key)
     if hit is not None:
         return hit
-    if d == 1:
-        if i == 0:
-            val = PureComplex._from_canonical([(-1, n)])
-        else:
-            val = PureComplex._from_canonical(_sphere(1, n, cache).facets - {(-1, n)})
+    if d == 1 and i == 0:
+        val = PureComplex._from_canonical([(-1, n)])
     elif d % 2 == 1 and i == (d + 1) // 2:
         # top ball in odd dimension: complement of its predecessor
         val = PureComplex._from_canonical(

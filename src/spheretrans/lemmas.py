@@ -78,6 +78,8 @@ def _signed_pair_sets(k: int, n: int) -> list[Face]:
 
 
 def _rsq_candidates(k: int, n: int) -> list[Face]:
+    """The six RSQ families, verbatim from their ranges.  They overlap; by
+    design no face is deduplicated, so candidates_checked sums the six sizes."""
     if k < 3:
         raise InvalidParameters("need k >= 3")
     if n < 2 * k + 1:
@@ -141,7 +143,8 @@ def verify_lemma(
     time_budget: float = 60.0,
     cache: dict | None = None,
 ) -> LemmaReport:
-    """Run one check and report candidates, failures, and context.
+    """Run one check and report candidates, failures, and context.  A
+    candidate listed twice (some RSQ faces) is checked and reported twice.
 
     Parameters
     ----------

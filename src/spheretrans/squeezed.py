@@ -6,7 +6,8 @@ starts at least 2 apart) realizes the 2k-set {i_1, i_1+1} u ... u
 poset under the componentwise order on starts; a squeezed ball is the
 complex of realizations of the downward-closed set an antichain generates,
 walked down from its members.  Subtracting the ball of the shifted
-antichain (all starts minus one) leaves a relative squeezed ball whose
+antichain (all starts minus one), that is dropping each face whose shift
+by one lies in the ideal, leaves a relative squeezed ball whose
 boundary sphere is the object of interest; sew() plants such a ball back
 into a sphere that contains it and cones its boundary with a fresh apex.
 """
@@ -108,9 +109,6 @@ class Antichain:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", ms)
 
-    def sorted_members(self) -> list[PairPattern]:
-        return sorted(self.members, key=lambda p: p.starts)
-
 
 def squeezed_ball(s: Antichain) -> PureComplex:
     """Realizations of the order ideal the antichain generates, walked down
@@ -140,8 +138,12 @@ def shift_antichain(s: Antichain) -> Antichain:
 
 
 def relative_squeezed_ball(s: Antichain) -> PureComplex:
-    """Facets of the antichain's ball minus those of its shift's ball."""
-    return relative_difference(squeezed_ball(s), squeezed_ball(shift_antichain(s)))
+    """Facets of the antichain's ball minus those of its shift's ball: the
+    faces of the ideal whose shift by one is not in the ideal."""
+    ideal = squeezed_ball(s).facets
+    return PureComplex._from_canonical(
+        f for f in ideal if tuple(v + 1 for v in f) not in ideal
+    )
 
 
 def relative_squeezed_sphere(s: Antichain) -> PureComplex:

@@ -6,14 +6,17 @@ antipode-free subset and the Betti oracle ranks the full boundary
 matrices densely mod 2, and the stacked sphere oracle rescans every
 facet for the lex-smallest one at each step.  The lemma oracles count
 the facets containing a face by scanning every facet, and build the
-signed pair sets pair by pair.  facet_lists draws small pure complexes
-as plain facet lists."""
+signed pair sets pair by pair.  The relative squeezed ball oracle
+subtracts the ball of the shifted antichain.  facet_lists draws small
+pure complexes as plain facet lists."""
 
 import itertools
 
 import numpy as np
 from hypothesis import strategies as hst
 from scipy.optimize import Bounds, LinearConstraint, milp
+
+from spheretrans import relative_difference, shift_antichain, squeezed_ball
 
 
 def brute_force_transversal(vertices, edges):
@@ -137,6 +140,12 @@ def signed_pair_sets_by_recursion(k, n):
         for signs in itertools.product((1, -1), repeat=k):
             out.append(tuple(sorted(s * v for s, pair in zip(signs, sk) for v in pair)))
     return out
+
+
+def relative_squeezed_ball_by_difference(s):
+    """The antichain's squeezed ball minus the squeezed ball of its shift,
+    two walks and one facet-set difference."""
+    return relative_difference(squeezed_ball(s), squeezed_ball(shift_antichain(s)))
 
 
 def gf2_rank_dense(matrix):

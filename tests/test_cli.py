@@ -6,11 +6,15 @@ import pytest
 
 from spheretrans import (
     EMPTY,
+    PureComplex,
     cross_boundary,
     cs_sphere,
     cyclic_boundary,
     edge_link_sphere,
     explicit_cs_transversal,
+    facet_hypergraph,
+    greedy_transversal,
+    matching_lower_bound,
     neighborly_antichain,
     relative_squeezed_ball,
     relative_squeezed_sphere,
@@ -278,16 +282,32 @@ def test_transversal_exact_output(tmp_path, capsys):
 
 
 def test_transversal_greedy_output(tmp_path, capsys):
-    path = str(tmp_path / "d3n6.facets")
-    main(["build", "--family", "cs-delta", "--d", "3", "--n", "6", "--out", path])
-    capsys.readouterr()
-    assert main(["transversal", "--in", path, "--greedy"]) == 0
-    out = capsys.readouterr().out
-    fields = dict(
-        line.split(maxsplit=1) for line in out.splitlines() if " " in line
-    )
-    assert fields["mode"] == "greedy"
-    assert int(fields["lower_bound"]) <= int(fields["upper_bound"])
+    # the greedy cover and the matching bound, on a cs sphere and on two
+    # disjoint copies of it
+    one = sorted(cs_sphere(3, 9).facets)
+    two = one + [tuple(sorted(v + 9 if v > 0 else v - 9 for v in f)) for f in one]
+    for facets in (one, two):
+        delta = PureComplex(facets)
+        h = facet_hypergraph(delta)
+        path = str(tmp_path / f"{len(facets)}.facets")
+        save_complex(delta, path, "facets", {"family": "cs-delta"})
+        cover = sorted(greedy_transversal(h))
+        expected = {
+            "mode": "greedy",
+            "vertices": len(h.vertices),
+            "edges": len(h.edges),
+            "lower_bound": matching_lower_bound(h),
+            "upper_bound": len(cover),
+            "hitting_set": cover,
+        }
+        assert main(["transversal", "--in", path, "--greedy", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == expected
+        assert main(["transversal", "--in", path, "--greedy"]) == 0
+        lines = [
+            f"{key} {' '.join(map(str, value)) if isinstance(value, list) else value}"
+            for key, value in expected.items()
+        ]
+        assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_nan_budget_exits_one(tmp_path, capsys):

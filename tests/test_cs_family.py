@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from spheretrans import (
@@ -125,6 +127,17 @@ def test_ball_parameter_errors():
 def test_fresh_cache_reproduces_the_shared_one(cs_cache):
     assert cs_sphere(3, 7, cache={}) == cs_sphere(3, 7, cache=cs_cache)
     assert cs_ball(4, 1, 6, cache={}) == cs_ball(4, 1, 6, cache=cs_cache)
+
+
+def test_sphere_recursion_depth_does_not_grow_with_n():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        sphere = cs_sphere(2, 300, cache={})
+    finally:
+        sys.setrecursionlimit(limit)
+    # a cs 2-sphere on 600 vertices has 2 * 600 - 4 triangles
+    assert len(sphere) == 1196
 
 
 def test_edge_link_is_a_plain_link(cs_cache):

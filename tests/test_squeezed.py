@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from helpers import relative_squeezed_ball_by_difference
 from spheretrans import (
     EMPTY,
     Antichain,
@@ -130,6 +131,16 @@ def test_squeezed_ball_is_the_order_ideal():
         + [sewing_antichain(2, n) for n in (5, 6, 9, 14)]
     ):
         assert squeezed_ball(s) == ideal_by_filter(s)
+
+
+def test_relative_squeezed_ball_matches_the_shifted_ball_difference():
+    for s in (
+        [neighborly_antichain(3, n) for n in (12, 13, 14)]
+        + [neighborly_antichain(4, 22), neighborly_antichain(5, 21)]
+        + [sewing_antichain(2, n) for n in range(5, 16)]
+        + [sewing_antichain(3, n) for n in range(7, 16)]
+    ):
+        assert relative_squeezed_ball(s) == relative_squeezed_ball_by_difference(s)
 
 
 @hst.composite
