@@ -56,23 +56,17 @@ def face(vertices: Iterable[int]) -> Face:
 
 
 class PureComplex:
-    """A pure simplicial complex, identified with its facet set."""
+    """A pure simplicial complex, identified with its facet set.  The
+    constructor drops empty facets, so a lone empty facet gives EMPTY."""
 
     __slots__ = ("_facets", "_dimension", "_vertices")
 
     def __init__(self, facets: Iterable[Iterable[int]]):
-        fs = frozenset(face(f) for f in facets)
-        # a lone empty facet means "only the empty face", i.e. EMPTY
-        fs = frozenset(f for f in fs if f)
-        if fs:
-            sizes = {len(f) for f in fs}
-            if len(sizes) != 1:
-                raise ValueError(f"facets of unequal cardinality: {sorted(sizes)}")
-            self._dimension = sizes.pop() - 1
-        else:
-            self._dimension = -1
-        self._facets = fs
-        self._vertices = frozenset(v for f in fs for v in f)
+        fs = frozenset(filter(None, map(face, facets)))
+        sizes = set(map(len, fs))
+        if len(sizes) > 1:
+            raise ValueError(f"facets of unequal cardinality: {sorted(sizes)}")
+        self._set_facets(fs)
 
     @classmethod
     def _from_canonical(cls, facets: Iterable[Face]) -> PureComplex:
@@ -80,12 +74,14 @@ class PureComplex:
         nonempty sorted tuple of distinct nonzero ints and all have the same
         size.  Only for facets canonical by construction; input from outside
         goes through PureComplex(...)."""
-        fs = facets if isinstance(facets, frozenset) else frozenset(facets)
         self = object.__new__(cls)
+        self._set_facets(facets if isinstance(facets, frozenset) else frozenset(facets))
+        return self
+
+    def _set_facets(self, fs: frozenset[Face]) -> None:
         self._facets = fs
         self._dimension = len(next(iter(fs))) - 1 if fs else -1
         self._vertices = frozenset(itertools.chain.from_iterable(fs))
-        return self
 
     @property
     def facets(self) -> frozenset[Face]:
@@ -224,19 +220,17 @@ def negate(delta: PureComplex) -> PureComplex:
 
 
 def link(delta: PureComplex, f: Iterable[int]) -> PureComplex:
-    """Link of a face: residues of the facets containing it.  EMPTY when
-    the face is itself a facet (its only residue is the empty face)."""
+    """Link of a face: residues of the facets containing it; EMPTY for a
+    facet.  Raises FaceNotPresent for a nonempty face in no facet (the
+    empty face lies in every complex, EMPTY included)."""
     fc = face(f)
-    if not delta.contains_face(fc):
+    fv = set(fc)
+    star = [F for F in delta.facets if fv.issubset(F)]
+    if fc and not star:
         raise FaceNotPresent(f"{fc} is not a face")
     if len(fc) == delta.dimension + 1:
         return EMPTY
-    fv = set(fc)
-    return PureComplex._from_canonical(
-        tuple(v for v in F if v not in fv)
-        for F in delta.facets
-        if fv.issubset(F)
-    )
+    return PureComplex._from_canonical(tuple(v for v in F if v not in fv) for F in star)
 
 
 @dataclass(frozen=True)
@@ -408,10 +402,14 @@ def is_k_neighborly(delta: PureComplex, k: int) -> bool:
 
 def is_cs(delta: PureComplex) -> bool:
     """Centrally symmetric: label negation maps the complex onto itself
-    and no face contains an antipodal pair."""
-    if negate(delta) != delta:
-        return False
-    return all(-v not in F for F in delta.facets for v in F)
+    and no face contains an antipodal pair.  Negation is injective, so it
+    maps the facets onto themselves iff each negated facet is a facet, and
+    a facet holds an antipodal pair iff it meets its negation."""
+    fs = delta.facets
+    return all(
+        (neg := tuple(-v for v in reversed(F))) in fs and set(F).isdisjoint(neg)
+        for F in fs
+    )
 
 
 def is_cs_k_neighborly(delta: PureComplex, k: int) -> bool:

@@ -167,7 +167,7 @@ def verify_lemma(
 
     if lid is LemmaId.BDL:
         if k < 1:
-            raise InvalidParameters("need k >= 1 and m >= 1")
+            raise InvalidParameters("need k >= 1")
         edges = _pair_unions(k, 1, n)
         if not edges:
             raise InvalidParameters(f"pair poset on [1, {n}] is empty for k={k}")

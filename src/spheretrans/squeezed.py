@@ -39,7 +39,7 @@ class PairPattern:
         s = self.starts
         if not s:
             raise InvalidParameters("a pair pattern needs at least one start")
-        if any(not isinstance(v, int) for v in s):
+        if any(type(v) is not int for v in s):
             raise InvalidParameters("starts must be integers")
         if s[0] < 1:
             raise InvalidParameters("starts must be >= 1")

@@ -48,13 +48,13 @@ from .errors import InvalidParameters, UnknownVertex
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Finite hypergraph; edges are deduplicated canonical faces."""
+    """Finite hypergraph on face()-checked labels; edges are deduplicated canonical faces."""
 
     vertices: tuple[int, ...]
     edges: tuple[Face, ...]
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Iterable[int]]):
-        vs = tuple(sorted(set(vertices)))
+        vs = face(set(vertices))
         es = tuple(sorted(set(face(e) for e in edges)))
         pool = set(vs)
         for e in es:

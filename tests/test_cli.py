@@ -155,6 +155,24 @@ def test_verify_json_reports_every_check(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "facets, detail",
+    [
+        ("1 2 3\n", "3 bad ridges e.g. ((1, 2), (1, 3), (2, 3))"),
+        ("1 2\n1 3\n2 3\n4 5\n4 6\n5 6\n", "dual graph disconnected"),
+        ("1 2 3\n4 5 6\n", "6 bad ridges e.g. ((1, 2), (1, 3), (2, 3)); dual graph disconnected"),
+    ],
+)
+def test_verify_names_the_pseudomanifold_failure(tmp_path, capsys, facets, detail):
+    path = tmp_path / "bad.facets"
+    path.write_text(facets)
+    assert main(["verify", "--in", str(path), "--checks", "pseudomanifold,cs-neighborly=1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"pseudomanifold     FAIL  {detail}",
+        "cs-neighborly=1    FAIL  not centrally symmetric",
+    ]
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["build", "--family", "cyclic", "--d", "4"]) == 2
     assert main(["build", "--family", "cs-lambda", "--k", "2", "--n", "6"]) == 2
@@ -171,6 +189,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     main(["build", "--family", "cross", "--d", "3", "--out", path])
     assert main(["verify", "--in", path, "--checks", "bogus"]) == 2
     capsys.readouterr()
+    for checks, message in (
+        ("neighborly", "check neighborly needs =K with K >= 1"),
+        ("cs=3", "check cs takes no argument"),
+        (",", "no checks given"),
+    ):
+        assert main(["verify", "--in", path, "--checks", checks]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+    edge = ["build", "--family", "cs-lambda", "--k", "2", "--n", "6", "--edge", "1 x"]
+    assert main(edge) == 2
+    assert "--edge expects two integers like \"3 -5\", got '1 x'" in capsys.readouterr().err
     # --m belongs to even-facets alone
     assert main(["lemmas", "--lemma", "bdl", "--k", "2", "--n", "8", "--m", "3"]) == 2
     assert "bdl does not take --m" in capsys.readouterr().err
@@ -333,6 +361,10 @@ def test_lemma_command(capsys):
     assert "bound 3" in out
     assert out.rstrip().endswith("PASSED")
     assert main(["lemmas", "--lemma", "rsq-facets", "--k", "2", "--n", "9"]) == 1
+    capsys.readouterr()
+    # tau of the arity-2 pair poset on [1, 9] is 3, one under the bound 4
+    assert main(["lemmas", "--lemma", "bdl", "--k", "2", "--n", "9"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == ["failures 1: (2, 4, 6)", "FAILED"]
 
 
 def test_build_edge_link_family(tmp_path, capsys):

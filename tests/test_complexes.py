@@ -58,8 +58,10 @@ def test_face_rejects_zero_and_duplicates():
 
 
 def test_purity_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unequal cardinality: \[2, 3\]"):
         PureComplex([(1, 2), (1, 2, 3)])
+    # empty facets are dropped before the sizes are compared
+    assert PureComplex([(), (2, 1)]).facets == {(1, 2)}
 
 
 def test_empty_complex_identity():
@@ -157,6 +159,13 @@ def test_link_of_absent_face_raises():
     lk = link(OCTAHEDRON, (-3, 1, 2))
     assert lk == EMPTY
     assert lk.dimension == -1
+    with pytest.raises(FaceNotPresent, match=r"\(-3, -2, -1, 1\) is not a face"):
+        link(OCTAHEDRON, (1, -1, -2, -3))
+    # the empty face lies in every complex, EMPTY included
+    assert link(OCTAHEDRON, ()) == OCTAHEDRON
+    assert link(EMPTY, ()) == EMPTY
+    with pytest.raises(FaceNotPresent):
+        link(EMPTY, (1,))
 
 
 def test_f_vector_octahedron():
@@ -312,6 +321,11 @@ def test_cs_fails_without_negation_symmetry():
     assert not is_cs(boundary(simplex([1, 2, 3, 4])))
     lopsided = PureComplex(sorted(OCTAHEDRON.facets)[1:])
     assert not is_cs(lopsided)
+    # negation-invariant, but a facet holds an antipodal pair
+    assert not is_cs(PureComplex([(1, -1)]))
+    assert not is_cs(PureComplex([(1, 2), (-1, 2)]))
+    assert is_cs(PureComplex([(1, 2), (-2, -1)]))
+    assert is_cs(EMPTY)
 
 
 def test_cs_neighborliness():

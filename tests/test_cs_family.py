@@ -166,3 +166,5 @@ def test_edge_link_search_finds_only_sphere_links(cs_cache):
     by_edge = {r.edge: r for r in reports}
     assert by_edge[(-8, -7)].centrally_symmetric
     assert by_edge[(7, 8)].centrally_symmetric
+    with pytest.raises(InvalidParameters, match="need k >= 2"):
+        edge_link_search(1, 6, cache=cs_cache)

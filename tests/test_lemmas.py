@@ -176,6 +176,21 @@ def test_only_even_facets_takes_m(lemma):
         verify_lemma(lemma, 2, 8, m=3)
 
 
+@pytest.mark.parametrize(
+    "lemma, k, n, message",
+    [
+        ("bdl", 0, 8, "need k >= 1$"),
+        ("rsq-facets", 3, 6, "need n >= 7"),
+        ("rsq-facets", 2, 9, "need k >= 3"),
+        ("pn", 1, 8, "need k >= 2"),
+        ("chain", 1, 8, "need k >= 2"),
+    ],
+)
+def test_verify_lemma_refuses_out_of_range_parameters(lemma, k, n, message):
+    with pytest.raises(InvalidParameters, match=message):
+        verify_lemma(lemma, k, n)
+
+
 def test_bdl_rejects_an_empty_poset():
     with pytest.raises(InvalidParameters):
         verify_lemma(LemmaId.BDL, 4, 5)

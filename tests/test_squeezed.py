@@ -54,6 +54,10 @@ def test_pair_pattern_validation():
         PairPattern((0, 3))
     with pytest.raises(InvalidParameters):
         PairPattern((1, 2))  # pairs {1,2} and {2,3} would overlap
+    # True is an int to isinstance, but no start: it would realize as True
+    for starts in ((True, 4), (1.5, 4)):
+        with pytest.raises(InvalidParameters, match="starts must be integers"):
+            PairPattern(starts)
 
 
 def test_pattern_leq_is_the_product_order():

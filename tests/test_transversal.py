@@ -38,6 +38,14 @@ def test_hypergraph_canonicalizes_edges():
     assert h.edges == ((1, 2), (3,))
 
 
+def test_hypergraph_checks_its_vertex_pool():
+    # the pool takes face()'s label rule; a label listed twice counts once
+    for pool, label in (([0, True, 1, 2], "0"), ([1.5, 2], "1.5"), ([True, 2], "True")):
+        with pytest.raises(ValueError, match=f"nonzero integers, got {label}"):
+            Hypergraph(pool, [(2,)])
+    assert Hypergraph([2, 1, 2], [(1, 2)]).vertices == (1, 2)
+
+
 def test_hypergraph_rejects_bad_edges():
     with pytest.raises(UnknownVertex):
         Hypergraph([1, 2], [(1, 5)])
