@@ -44,11 +44,12 @@ Face = tuple[int, ...]
 
 def face(vertices: Iterable[int]) -> Face:
     """Canonicalize a face: sorted tuple of distinct nonzero ints."""
-    vs = tuple(sorted(vertices))
+    vs = tuple(vertices)
     for v in vs:
         # bool is a subclass of int, but True is no label
         if not isinstance(v, int) or isinstance(v, bool) or v == 0:
             raise ValueError(f"vertex labels must be nonzero integers, got {v!r}")
+    vs = tuple(sorted(vs))
     for a, b in zip(vs, vs[1:]):
         if a == b:
             raise ValueError(f"duplicate vertex label {a} in face")
@@ -249,24 +250,15 @@ class FVector:
 
 
 def f_vector(delta: PureComplex, max_faces: int = 10_000_000) -> FVector:
-    """Count faces in every dimension by downward closure.
-
-    Raises TooLarge if the total face count would exceed max_faces.
-    """
-    return FVector((1, *map(len, _face_layers(delta, max_faces, total=1))))
-
-
-def _face_layers(delta: PureComplex, max_faces: int, total: int = 0) -> Iterator[set[Face]]:
-    """Yield the faces of cardinality 1 .. dim+1 one layer at a time, raising
-    TooLarge once total plus their count exceeds max_faces.  A caller that
-    drops each layer before the next (as map does) never holds two at once."""
+    """Count faces in every dimension by downward closure, one layer at a
+    time.  Raises TooLarge once the count, the empty face included, would
+    exceed max_faces."""
+    counts = [1]
     for c in range(1, delta.dimension + 2):
-        layer = delta.faces_of_cardinality(c)
-        total += len(layer)
-        if total > max_faces:
+        counts.append(len(delta.faces_of_cardinality(c)))
+        if sum(counts) > max_faces:
             raise TooLarge(f"face count exceeds {max_faces}")
-        yield layer
-        del layer
+    return FVector(tuple(counts))
 
 
 @dataclass(frozen=True)
@@ -329,43 +321,86 @@ def gf2_betti(delta: PureComplex, max_faces: int = 2_000_000) -> tuple[int, ...]
     2014): the maps are reduced from d_d down to d_1, and a column of d_i
     whose face is a pivot row of the reduced d_{i+1} is skipped, because
     ordering faces by dimension is a filtration and such a column reduces
-    to zero.  Columns are sparse lists of row indices, highest first; a
-    column becomes an int bitmask only while it is being reduced.  Every
-    face is held in memory, so the total face count is guarded.
+    to zero.
+
+    Faces are int codes, as in Ripser (Bauer, "Ripser: efficient
+    computation of Vietoris-Rips persistence barcodes", 2021): with the
+    vertices ranked 0..n-1 and s = n.bit_length(), the c-face of ranks
+    r_0 < ... < r_{c-1} is sum(r_k << s*(c-1-k)), so the int order of one
+    layer is the lex order.  The layers are built from the facets down as
+    the codes of sub-faces.  A column whose pivot row is free keeps only
+    its face code; its rows are rebuilt from the codes of its sub-faces
+    when it is reduced or added into another column.  A reduced column is
+    kept as a sparse list of rows, highest first, and becomes an int
+    bitmask only while it is being reduced: a mask is as wide as the whole
+    row layer, a row list holds a few ints.  Lex order keeps the column
+    additions few: cs_sphere(6, 16) needs 9,257 of them, while with the
+    layers in set order the reduction had not ended after 400 s.  Every
+    face code is held in memory, so the total face count is guarded.
     """
     if delta.is_empty:
         raise InvalidParameters("Betti numbers of EMPTY are not defined here")
     dim = delta.dimension
-    layers = list(map(sorted, _face_layers(delta, max_faces)))
+    vertex_rank = {v: r for r, v in enumerate(sorted(delta.vertices))}
+    s = len(vertex_rank).bit_length()
+    layer = set()
+    for F in delta.facets:
+        code = 0
+        for v in F:
+            code = code << s | vertex_rank[v]
+        layer.add(code)
+    layers = []  # sorted codes of the faces of cardinality dim + 1, dim, ..., 1
+    total = 0
+    for c in range(dim + 1, 0, -1):
+        total += len(layer)
+        if total > max_faces:
+            raise TooLarge(f"face count exceeds {max_faces}")
+        layers.append(sorted(layer))
+        # the last pass yields only the empty face, code 0, which is dropped
+        layer = set()
+        for head, shift, keep in _drops(c, s):
+            layer.update([(code >> head) << shift | code & keep for code in layers[-1]])
+    layers.reverse()
 
     ranks = [0] * (dim + 2)  # ranks[i] = rank of d_i; d_0 and d_{dim+1} are 0
-    pivots: dict[int, list[int]] = {}  # pivot row -> reduced column
+    pivots: dict[int, int | list[int]] = {}  # pivot row -> face code or reduced column
     for i in range(dim, 0, -1):
         # the pivot rows of d_{i+1} name the columns of d_i to skip
         cleared, pivots = pivots, {}
-        index = {f: j for j, f in enumerate(layers[i - 1])}
-        for j, F in enumerate(layers[i]):
+        index = dict(zip(layers[i - 1], range(len(layers[i - 1]))))
+        drops = _drops(i + 1, s)
+        tail = drops[0][2]  # the code of F[1:] is code & tail
+        for j, code in enumerate(layers[i]):
             if j in cleared:
                 continue
-            # dropping a later vertex gives a lex-smaller face, so the rows
-            # come out highest first
-            rows = [index[F[:k] + F[k + 1:]] for k in range(len(F))]
-            if rows[0] in pivots:
-                col = _mask(rows)
+            row = index[code & tail]
+            if row in pivots:
+                col = _column(code, index, drops)
                 while col and (low := col.bit_length() - 1) in pivots:
-                    col ^= _mask(pivots[low])
-                if not col:
-                    continue
-                rows = _rows(col)
-            pivots[rows[0]] = rows
+                    col ^= _column(pivots[low], index, drops)
+                if col:
+                    pivots[low] = _rows(col)
+            else:
+                pivots[row] = code
         ranks[i] = len(pivots)
 
-    betti = []
-    for i in range(dim + 1):
-        f_i = len(layers[i])
-        kernel = f_i - ranks[i]
-        betti.append(kernel - ranks[i + 1])
-    return tuple(betti)
+    return tuple(len(layers[i]) - ranks[i] - ranks[i + 1] for i in range(dim + 1))
+
+
+def _drops(c: int, s: int) -> list[tuple[int, int, int]]:
+    """(head, shift, keep) for k = 0..c-1: the code of a c-face with the
+    vertex at position k dropped is (code >> head) << shift | code & keep."""
+    return [(shift + s, shift, (1 << shift) - 1) for shift in range(s * (c - 1), -1, -s)]
+
+
+def _column(
+    entry: int | list[int], index: dict[int, int], drops: list[tuple[int, int, int]]
+) -> int:
+    """Bitmask of a column kept as a face code (its rows rebuilt from the
+    codes of its sub-faces) or as a reduced list of rows."""
+    if isinstance(entry, int):
+        entry = [index[(entry >> head) << shift | entry & keep] for head, shift, keep in drops]
+    return _mask(entry)
 
 
 def _mask(rows: list[int]) -> int:

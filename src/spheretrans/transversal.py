@@ -183,17 +183,19 @@ def matching_lower_bound(h: Hypergraph) -> int:
 def _branch_vertex(inc: list[int], tiers: tuple[int, ...], rem: int, live: int) -> int:
     """Index of the live vertex in the most edges of the lowest tier with
     an edge of rem left, ties to the most edges of rem, then to the
-    smallest index."""
+    smallest index.  When the lowest tier is rem itself, as in the greedy
+    cover, the two counts agree and the second is not taken."""
     for low in tiers:
         low &= rem
         if low:
             break
+    whole = low == rem
     top = most = 0
     for u, edges in enumerate(inc):
         if live >> u & 1:
             count = (edges & low).bit_count()
             if count and count >= top:
-                degree = (edges & rem).bit_count()
+                degree = count if whole else (edges & rem).bit_count()
                 if count > top or degree > most:
                     top, most, v = count, degree, u
     return v

@@ -8,9 +8,11 @@ facet for the lex-smallest one at each step.  The lemma oracles count
 the facets containing a face by scanning every facet, and build the
 signed pair sets pair by pair.  The relative squeezed ball oracle
 subtracts the ball of the shifted antichain.  facet_lists draws small
-pure complexes as plain facet lists."""
+pure complexes as plain facet lists, and signed_relabelling applies one
+fixed signed relabelling that keeps antipodes antipodal."""
 
 import itertools
+import random
 
 import numpy as np
 from hypothesis import strategies as hst
@@ -203,3 +205,14 @@ def facet_lists(draw):
     for top in draw(hst.lists(hst.one_of(hst.just(fresh), glued), max_size=2)):
         facets += itertools.combinations(top, size)
     return facets
+
+
+def signed_relabelling(facets):
+    """One fixed permutation of the labels 1..m with sign flips, extended
+    by v -> -image(-v) so antipodes stay antipodal."""
+    rng = random.Random(12)
+    m = max(abs(v) for f in facets for v in f)
+    image = list(range(1, m + 1))
+    rng.shuffle(image)
+    signed = [0] + [v * rng.choice((1, -1)) for v in image]
+    return [tuple(signed[v] if v > 0 else -signed[-v] for v in f) for f in facets]

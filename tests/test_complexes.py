@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from helpers import cs_neighborly_by_enumeration, facet_lists, gf2_betti_dense
+from helpers import cs_neighborly_by_enumeration, facet_lists, gf2_betti_dense, signed_relabelling
 from spheretrans import (
     EMPTY,
     PureComplex,
@@ -39,6 +39,14 @@ from spheretrans.errors import (
 )
 
 OCTAHEDRON = cross_boundary(3)
+# the 6-vertex real projective plane and the 7-vertex (Moebius) torus
+RP2 = PureComplex(
+    [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+     (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
+)
+TORUS = PureComplex(
+    (i % 7 + 1, (i + a) % 7 + 1, (i + 3) % 7 + 1) for i in range(7) for a in (1, 2)
+)
 
 
 def test_face_canonicalizes_sorted():
@@ -55,6 +63,9 @@ def test_face_rejects_zero_and_duplicates():
         face([True, 2])
     with pytest.raises(ValueError):
         PureComplex([(True, 2)])
+    # labels are checked before they are sorted, so no TypeError escapes
+    with pytest.raises(ValueError, match="nonzero integers, got 'a'"):
+        PureComplex([("a", 2)])
 
 
 def test_purity_enforced():
@@ -245,6 +256,26 @@ def test_betti_profiles():
     assert gf2_betti(OCTAHEDRON, max_faces=26) == (1, 0, 1)
     with pytest.raises(TooLarge):
         gf2_betti(OCTAHEDRON, max_faces=25)
+    # 7 + 21 + 14 = 42 nonempty faces
+    assert gf2_betti(TORUS, max_faces=42) == (1, 2, 1)
+    with pytest.raises(TooLarge, match="face count exceeds 41"):
+        gf2_betti(TORUS, max_faces=41)
+
+
+def test_betti_numbers_of_non_spheres():
+    assert f_vector(RP2).counts == (1, 6, 15, 10)
+    assert f_vector(TORUS).counts == (1, 7, 21, 14)
+    assert is_closed_pseudomanifold(RP2) and is_closed_pseudomanifold(TORUS)
+    # over GF(2) the projective plane is not orientable: b_1 = b_2 = 1
+    assert gf2_betti(RP2) == gf2_betti_dense(RP2.facets) == (1, 1, 1)
+    assert gf2_betti(TORUS) == gf2_betti_dense(TORUS.facets) == (1, 2, 1)
+
+
+def test_betti_numbers_do_not_depend_on_the_labels():
+    sphere = cs_sphere(4, 12)
+    relabelled = PureComplex(signed_relabelling(sphere.facets))
+    assert relabelled != sphere and is_cs(relabelled)
+    assert gf2_betti(sphere) == gf2_betti(relabelled) == (1, 0, 0, 0, 1)
 
 
 def _euler_from_betti(betti):
@@ -274,7 +305,9 @@ def test_betti_numbers_of_a_ball_and_of_two_disjoint_spheres():
 
 
 def test_betti_peak_memory_is_pinned():
-    # 21,758 faces: sparse columns peak near 3 MiB, dense bitmask ones near 7 MiB
+    # 21,758 faces: int face codes with columns rebuilt on demand peak near
+    # 2.1 MiB, tuple faces with stored columns near 3.6 MiB, dense bitmask
+    # columns near 7 MiB
     sphere = relative_squeezed_sphere(neighborly_antichain(4, 22))
     tracemalloc.start()
     try:
@@ -282,7 +315,7 @@ def test_betti_peak_memory_is_pinned():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2**20
+    assert peak < 3 * 2**20
 
 
 def test_sphere_betti_profile():

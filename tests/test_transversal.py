@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from helpers import brute_force_transversal, milp_transversal
+from helpers import brute_force_transversal, milp_transversal, signed_relabelling
 from spheretrans import (
     EMPTY,
     Hypergraph,
@@ -40,7 +40,12 @@ def test_hypergraph_canonicalizes_edges():
 
 def test_hypergraph_checks_its_vertex_pool():
     # the pool takes face()'s label rule; a label listed twice counts once
-    for pool, label in (([0, True, 1, 2], "0"), ([1.5, 2], "1.5"), ([True, 2], "True")):
+    for pool, label in (
+        ([0, True, 1, 2], "0"),
+        ([1.5, 2], "1.5"),
+        ([True, 2], "True"),
+        (["a", 2], "'a'"),
+    ):
         with pytest.raises(ValueError, match=f"nonzero integers, got {label}"):
             Hypergraph(pool, [(2,)])
     assert Hypergraph([2, 1, 2], [(1, 2)]).vertices == (1, 2)
@@ -340,17 +345,6 @@ def test_carried_tiers_match_a_recount(instance, steps):
         assert all(1 << v | 1 << u in pairs for u in range(len(inc)) if forced >> u & 1)
         node = with_v if take else without
         check_node(masks, node)
-
-
-def signed_relabelling(facets):
-    """One fixed permutation of the labels 1..m with sign flips, extended
-    by v -> -image(-v) so antipodes stay antipodal."""
-    rng = random.Random(12)
-    m = max(abs(v) for f in facets for v in f)
-    image = list(range(1, m + 1))
-    rng.shuffle(image)
-    signed = [0] + [v * rng.choice((1, -1)) for v in image]
-    return [tuple(signed[v] if v > 0 else -signed[-v] for v in f) for f in facets]
 
 
 @pytest.mark.parametrize(
