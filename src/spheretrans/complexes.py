@@ -283,28 +283,36 @@ class PseudomanifoldReport:
 def is_closed_pseudomanifold(delta: PureComplex) -> PseudomanifoldReport:
     """Check that every ridge lies in exactly two facets and the facet
     adjacency graph is connected.  Returns a report, never raises on a
-    failing complex; the failing ridges are listed as witnesses."""
+    failing complex; the failing ridges are listed as witnesses.  Works on
+    the int codes of gf2_betti and decodes only the witness ridges."""
     if delta.dimension < 1:
         raise InvalidParameters("need facet dimension >= 1")
-    by_ridge: dict[Face, list[Face]] = {}
-    for F in delta.facets:
-        for i in range(len(F)):
-            by_ridge.setdefault(F[:i] + F[i + 1:], []).append(F)
-    bad = tuple(sorted(r for r, fs in by_ridge.items() if len(fs) != 2))
+    codes, s, ranked = _facet_codes(delta)
+    drops = _drops(delta.dimension + 1, s)
+    by_ridge: dict[int, list[int]] = {}  # ridge code -> indices of its facets
+    for j, code in enumerate(codes):
+        for head, shift, keep in drops:
+            by_ridge.setdefault((code >> head) << shift | code & keep, []).append(j)
+    # int order of ridge codes is the lex order of their labels; a ridge
+    # has the fields of drops[1:]
+    field = (1 << s) - 1
+    bad = tuple(
+        tuple(ranked[r >> shift & field] for _, shift, _ in drops[1:])
+        for r in sorted(r for r, fs in by_ridge.items() if len(fs) != 2)
+    )
 
-    # connectivity of the dual graph, walking shared ridges from any facet
-    start = next(iter(delta.facets))
-    seen = {start}
-    stack = [start]
+    # connectivity of the dual graph, walking shared ridges from facet 0
+    seen = bytearray(len(codes))
+    seen[0] = 1
+    stack = [0]
     while stack:
-        F = stack.pop()
-        for i in range(len(F)):
-            for G in by_ridge[F[:i] + F[i + 1:]]:
-                if G not in seen:
-                    seen.add(G)
-                    stack.append(G)
-    connected = len(seen) == len(delta)
-    return PseudomanifoldReport(connected=connected, bad_ridges=bad)
+        code = codes[stack.pop()]
+        for head, shift, keep in drops:
+            for g in by_ridge[(code >> head) << shift | code & keep]:
+                if not seen[g]:
+                    seen[g] = 1
+                    stack.append(g)
+    return PseudomanifoldReport(connected=all(seen), bad_ridges=bad)
 
 
 def gf2_betti(delta: PureComplex, max_faces: int = 2_000_000) -> tuple[int, ...]:
@@ -341,14 +349,7 @@ def gf2_betti(delta: PureComplex, max_faces: int = 2_000_000) -> tuple[int, ...]
     if delta.is_empty:
         raise InvalidParameters("Betti numbers of EMPTY are not defined here")
     dim = delta.dimension
-    vertex_rank = {v: r for r, v in enumerate(sorted(delta.vertices))}
-    s = len(vertex_rank).bit_length()
-    layer = set()
-    for F in delta.facets:
-        code = 0
-        for v in F:
-            code = code << s | vertex_rank[v]
-        layer.add(code)
+    layer, s, _ = _facet_codes(delta)
     layers = []  # sorted codes of the faces of cardinality dim + 1, dim, ..., 1
     total = 0
     for c in range(dim + 1, 0, -1):
@@ -385,6 +386,22 @@ def gf2_betti(delta: PureComplex, max_faces: int = 2_000_000) -> tuple[int, ...]
         ranks[i] = len(pivots)
 
     return tuple(len(layers[i]) - ranks[i] - ranks[i + 1] for i in range(dim + 1))
+
+
+def _facet_codes(delta: PureComplex) -> tuple[list[int], int, list[int]]:
+    """(codes, s, ranked): the int codes of the facets, in facet-set order,
+    the field width s and the sorted vertices, so ranked[r] is the label
+    of rank r (see gf2_betti)."""
+    ranked = sorted(delta.vertices)
+    rank = {v: r for r, v in enumerate(ranked)}
+    s = len(ranked).bit_length()
+    codes = []
+    for F in delta.facets:
+        code = 0
+        for v in F:
+            code = code << s | rank[v]
+        codes.append(code)
+    return codes, s, ranked
 
 
 def _drops(c: int, s: int) -> list[tuple[int, int, int]]:

@@ -25,7 +25,7 @@ def dumps_facets(delta: PureComplex, metadata: dict[str, Any] | None = None) -> 
     for key, value in (metadata or {}).items():
         lines.append(f"# {key}={value}")
     for f in delta.sorted_facets():
-        lines.append(" ".join(str(v) for v in f))
+        lines.append(" ".join(map(str, f)))
     return "\n".join(lines) + "\n"
 
 
@@ -57,11 +57,11 @@ def dumps_json(delta: PureComplex, metadata: dict[str, Any] | None = None) -> st
         "format": JSON_FORMAT,
         "facet_dimension": delta.dimension,
         "vertex_count": delta.vertex_count,
-        "facets": [list(f) for f in delta.sorted_facets()],
+        "facets": delta.sorted_facets(),
     }
     if metadata:
         payload["metadata"] = metadata
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    return json.dumps(payload) + "\n"
 
 
 def loads_json(text: str) -> PureComplex:

@@ -49,14 +49,27 @@ def test_facet_round_trip(sphere):
     body = [l for l in lines if not l.startswith("#")]
     assert body == sorted(body, key=lambda l: [int(t) for t in l.split()])
     assert loads_facets(text) == sphere
+    tiny = PureComplex([(1, 3), (-2, 1)])
+    assert dumps_facets(tiny, {"k": 1}) == "# spheretrans-facets\n# k=1\n-2 1\n1 3\n"
 
 
 def test_json_round_trip(sphere):
-    text = dumps_json(sphere, {"family": "cs-delta"})
+    metadata = {"family": 'cs "delta"', "note": "sphère ∂Δ", "n": 5}
+    text = dumps_json(sphere, metadata)
+    assert text.endswith("\n")
     payload = json.loads(text)
-    assert payload["facet_dimension"] == 3
-    assert payload["vertex_count"] == 10
+    expected = {
+        "format": JSON_FORMAT,
+        "facet_dimension": 3,
+        "vertex_count": 10,
+        "facets": [list(f) for f in sorted(sphere.facets)],
+        "metadata": metadata,
+    }
+    assert payload == expected
+    assert list(payload) == list(expected)
     assert loads_json(text) == sphere
+    # earlier versions wrote the document indented
+    assert loads_json(json.dumps(payload, indent=2)) == sphere
 
 
 def test_loads_facets_validation():

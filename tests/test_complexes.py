@@ -224,8 +224,16 @@ def test_pseudomanifold_report_on_good_and_damaged_spheres():
     damaged = PureComplex(sorted(OCTAHEDRON.facets)[1:])
     rep = is_closed_pseudomanifold(damaged)
     assert not rep.ridges_ok
-    assert rep.bad_ridges  # the three exposed edges are the witnesses
+    # the three edges of the removed facet (-3, -2, -1) are the witnesses
+    assert rep.bad_ridges == ((-3, -2), (-3, -1), (-2, -1))
+    assert rep.connected
     assert not rep.passed and not bool(rep)
+    # a fin glued on the edge (-2, -1): that edge lies in three facets and
+    # the two new edges of the fin in one each
+    fin = PureComplex(sorted(OCTAHEDRON.facets) + [(-2, -1, 7)])
+    rep = is_closed_pseudomanifold(fin)
+    assert rep.bad_ridges == ((-2, -1), (-2, 7), (-1, 7))
+    assert rep.connected and not rep.passed
 
 
 def test_pseudomanifold_detects_disconnection():
