@@ -211,13 +211,16 @@ def boundary(ball: PureComplex) -> PureComplex:
     return PureComplex._from_canonical(r for r, c in counts.items() if c == 1)
 
 
+def _negated(f: Face) -> Face:
+    """The antipodal face of a canonical face, reversed so it stays sorted."""
+    return tuple(-v for v in reversed(f))
+
+
 def negate(delta: PureComplex) -> PureComplex:
     """Relabel every vertex v as -v."""
     if delta.is_empty:
         return delta
-    return PureComplex._from_canonical(
-        tuple(-v for v in reversed(F)) for F in delta.facets
-    )
+    return PureComplex._from_canonical(map(_negated, delta.facets))
 
 
 def link(delta: PureComplex, f: Iterable[int]) -> PureComplex:
@@ -459,8 +462,7 @@ def is_cs(delta: PureComplex) -> bool:
     a facet holds an antipodal pair iff it meets its negation."""
     fs = delta.facets
     return all(
-        (neg := tuple(-v for v in reversed(F))) in fs and set(F).isdisjoint(neg)
-        for F in fs
+        (neg := _negated(F)) in fs and set(F).isdisjoint(neg) for F in fs
     )
 
 

@@ -7,22 +7,22 @@ mutually recursive scheme together with the balls cs_ball(d, i, n):
 * the 1-dimensional sphere is the cycle 1, 2, ..., n, -1, -2, ..., -n;
 * on the minimum vertex count the sphere is the cross polytope boundary;
 * cs_ball(1, 0, n) is the single edge {-1, n}; for odd d the top ball
-  is the sphere minus the previous ball; otherwise a ball is the cone
-  of its predecessor over the fresh label n glued to the cone of its
-  negated second predecessor over -n (an empty predecessor contributes
-  nothing);
+  is the sphere minus the previous ball; otherwise cs_ball(d, i, n) is
+  the cone F + (n,) over cs_ball(d-1, i, n-1) and the cone (-n,) + (-F)
+  over cs_ball(d-1, i-1, n-1), which is EMPTY for i = 0;
 * the sphere on one more antipodal vertex pair replaces the ball
   B = cs_ball(d, ceil(d/2)-1, n) and its negation inside cs_sphere(d, n)
-  by the cone of boundary(B) over n+1 and the negation of that cone.
+  by the cone R + (n+1,) over boundary(B) and the negation of that cone.
 
-Every step asserts the structural facts it relies on (low-index balls
-sit facet-wise inside the sphere; B and -B share no facet) and raises
-RecursionInvariantViolated otherwise.  Facets are canonical by
-construction, so no step re-validates them.  Results are memoized in a
-shared cache keyed by kind and parameters; pass cache={} to recompute
-from scratch.  Cached values are immutable, so sharing the default cache
-between threads is harmless.  Uncached rungs below a sphere are built
-in a loop first, so the recursion is O(d) deep for any n.
+Each apex outranks the labels below it in absolute value and -F is F
+negated and reversed, so cone facets are sorted as built and never
+re-sorted.  Every step asserts the structural facts it relies on
+(low-index balls sit facet-wise inside the sphere; B and -B share no
+facet) and raises RecursionInvariantViolated otherwise.  Results are
+memoized in a shared cache keyed by kind and parameters; pass cache={}
+to recompute from scratch.  Cached values are immutable, so sharing the
+default cache between threads is harmless.  Uncached rungs below a
+sphere are built in a loop first, so the recursion is O(d) deep for any n.
 """
 
 from __future__ import annotations
@@ -33,17 +33,14 @@ from .complexes import (
     EMPTY,
     Face,
     PureComplex,
+    _negated,
     boundary,
     face,
     gf2_betti,
     is_closed_pseudomanifold,
     is_cs,
-    join,
     link,
-    negate,
-    simplex,
     sphere_betti_profile,
-    union,
 )
 from .errors import InvalidParameters, RecursionInvariantViolated, TooFewVertices
 from .polytopes import cross_boundary
@@ -100,14 +97,16 @@ def _sphere(d: int, n: int, cache: dict) -> PureComplex:
                 _sphere(d, m, cache)
         prev = _sphere(d, n - 1, cache)
         b = _ball(d, (d + 1) // 2 - 1, n - 1, cache)
-        nb = negate(b)
-        if b.facets & nb.facets:
+        nb = frozenset(map(_negated, b.facets))
+        if b.facets & nb:
             raise RecursionInvariantViolated(
                 f"replacement balls for d={d}, n={n} share facets"
             )
-        kept = prev.facets - b.facets - nb.facets
-        pos = join(boundary(b), simplex([n]))
-        val = PureComplex._from_canonical(kept | pos.facets | negate(pos).facets)
+        # set | set sizes its table once; grown by insertion it can end 2x as large
+        cone = frozenset(R + (n,) for R in boundary(b).facets)
+        val = PureComplex._from_canonical(
+            (prev.facets - b.facets - nb) | cone | frozenset(map(_negated, cone))
+        )
     cache[key] = val
     return val
 
@@ -127,14 +126,12 @@ def _ball(d: int, i: int, n: int, cache: dict) -> PureComplex:
             _sphere(d, n, cache).facets - _ball(d, i - 1, n, cache).facets
         )
     else:
-        parts = EMPTY
-        upper = _ball(d - 1, i, n - 1, cache)
-        if not upper.is_empty:
-            parts = union(parts, join(upper, simplex([n])))
-        lower = _ball(d - 1, i - 1, n - 1, cache)
-        if not lower.is_empty:
-            parts = union(parts, join(negate(lower), simplex([-n])))
-        val = parts
+        upper = _ball(d - 1, i, n - 1, cache).facets
+        lower = _ball(d - 1, i - 1, n - 1, cache).facets
+        val = PureComplex._from_canonical(
+            frozenset(F + (n,) for F in upper)
+            | frozenset((-n,) + _negated(F) for F in lower)
+        )
     if i <= (d + 1) // 2 - 1:
         sphere_facets = _sphere(d, n, cache).facets
         if not val.facets <= sphere_facets:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-from .complexes import Face, boundary, face, negate
+from .complexes import Face, _negated, boundary, face, negate
 from .cs_family import cs_ball, cs_sphere
 from .errors import InvalidParameters
 from .squeezed import (
@@ -123,7 +123,7 @@ def generate_candidates(lemma_id: LemmaId | str, k: int, n: int) -> list[Face]:
         for tail in ((n - 2, n - 1, n + 1), (n - 2, n, n + 1)):
             cand = face(g + tail)
             out.append(cand)
-            out.append(face(-v for v in cand))  # closed under negation
+            out.append(_negated(cand))  # closed under negation
     return out
 
 

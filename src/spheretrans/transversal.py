@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .complexes import Face, PureComplex, face
+from .complexes import Face, PureComplex, _negated, face
 from .errors import InvalidParameters, UnknownVertex
 
 
@@ -355,7 +355,7 @@ def _solve(
         minus = [e for e in edges if e[-1] < 0]
         positive = tuple(v for v in vertices if v > 0)
         _, floor, nodes, _ = _solve(positive, plus, deadline, nodes, False)
-        if sorted(tuple(-v for v in reversed(e)) for e in plus) == minus:
+        if sorted(map(_negated, plus)) == minus:
             floor *= 2
         else:
             negative = tuple(v for v in vertices if v < 0)

@@ -82,6 +82,7 @@ def test_empty_complex_identity():
     # a lone empty facet normalizes to the same thing
     assert PureComplex([()]) == EMPTY
     assert EMPTY.contains_face(())
+    assert repr(EMPTY) == "PureComplex(EMPTY)"
 
 
 def test_complex_equality_and_hash():
@@ -89,6 +90,9 @@ def test_complex_equality_and_hash():
     b = PureComplex([(2, 3), (1, 2)])
     assert a == b
     assert hash(a) == hash(b)
+    # a non-complex gets NotImplemented, so Python falls back to identity
+    assert a.__eq__(3) is NotImplemented
+    assert (a == 3) is False
     assert len(a) == 2
     assert set(iter(a)) == {(1, 2), (2, 3)}
 
@@ -119,6 +123,7 @@ def test_join_of_three_antipodal_pairs_is_the_octahedron():
 
 def test_union_requires_equal_dimension():
     assert union(EMPTY, OCTAHEDRON) == OCTAHEDRON
+    assert union(OCTAHEDRON, EMPTY) is OCTAHEDRON
     with pytest.raises(DimensionMismatch):
         union(simplex([1]), simplex([2, 3]))
     merged = union(simplex([1, 2]), simplex([2, 3]))

@@ -4,6 +4,8 @@ import pytest
 
 from spheretrans import (
     EMPTY,
+    PureComplex,
+    boundary,
     cross_boundary,
     cs_ball,
     cs_sphere,
@@ -14,12 +16,17 @@ from spheretrans import (
     is_closed_pseudomanifold,
     is_cs,
     is_cs_k_neighborly,
+    join,
     link,
     negate,
+    relative_difference,
+    simplex,
+    union,
 )
 from spheretrans.errors import (
     FaceNotPresent,
     InvalidParameters,
+    RecursionInvariantViolated,
     TooFewVertices,
 )
 
@@ -94,6 +101,52 @@ def test_two_ball_join_rule_by_hand(cs_cache):
         (1, 2, 4),
         (2, 3, 4),
     ]
+
+
+def _ball_by_definition(d, i, n, cache):
+    """cs_ball(d, i, n) from the complex algebra and the results below it."""
+    if d % 2 == 1 and i == (d + 1) // 2:
+        return relative_difference(
+            cs_sphere(d, n, cache=cache), cs_ball(d, i - 1, n, cache=cache)
+        )
+    cone = join(cs_ball(d - 1, i, n - 1, cache=cache), simplex([n]))
+    lower = cs_ball(d - 1, i - 1, n - 1, cache=cache)
+    if lower.is_empty:  # EMPTY is the identity of join, not a cone base
+        return cone
+    return union(cone, join(negate(lower), simplex([-n])))
+
+
+def _sphere_by_definition(d, n, cache):
+    """cs_sphere(d, n) as cs_sphere(d, n - 1) with the replacement ball and
+    its negation swapped for the cone over its boundary and that cone's
+    negation."""
+    ball = cs_ball(d, (d + 1) // 2 - 1, n - 1, cache=cache)
+    kept = relative_difference(
+        relative_difference(cs_sphere(d, n - 1, cache=cache), ball), negate(ball)
+    )
+    cone = join(boundary(ball), simplex([n]))
+    return union(union(kept, cone), negate(cone))
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_recursion_matches_its_algebraic_definition(d, cs_cache):
+    for n in range(d + 1, d + 7):
+        for i in range((d + 1) // 2 + 1):
+            assert cs_ball(d, i, n, cache=cs_cache) == _ball_by_definition(d, i, n, cs_cache)
+        if n > d + 1:
+            assert cs_sphere(d, n, cache=cs_cache) == _sphere_by_definition(d, n, cs_cache)
+
+
+def test_ball_outside_its_sphere_is_caught():
+    cache = {("sphere", 2, 6): cs_sphere(2, 5, cache={})}
+    with pytest.raises(RecursionInvariantViolated, match="not contained in its sphere"):
+        cs_ball(2, 0, 6, cache=cache)
+
+
+def test_replacement_ball_meeting_its_negation_is_caught():
+    cache = {("ball", 2, 0, 5): PureComplex([(1, 2, 3), (-3, -2, -1)])}
+    with pytest.raises(RecursionInvariantViolated, match="share facets"):
+        cs_sphere(2, 6, cache=cache)
 
 
 def test_negative_index_ball_is_empty(cs_cache):

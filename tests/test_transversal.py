@@ -503,6 +503,8 @@ def test_transversal_ratio_is_exact(cs_cache):
     lo, hi = transversal_ratio(sphere, cert)
     assert lo == hi == Fraction(cert.upper_bound, 18)
     assert hi <= Fraction(10, 18)  # witnessed by the closed-form transversal
+    with pytest.raises(InvalidParameters, match="no vertices"):
+        transversal_ratio(EMPTY, cert)
 
 
 def test_explicit_transversal_values():
