@@ -186,7 +186,7 @@ def sew(sphere: PureComplex, ball: PureComplex, apex: int) -> PureComplex:
     the apex a fresh nonzero label; the result is again a sphere on one
     more vertex when the ball is a proper ball inside it.
     """
-    if not isinstance(apex, int) or apex == 0:
+    if not isinstance(apex, int) or isinstance(apex, bool) or apex == 0:
         raise InvalidParameters("apex must be a nonzero integer")
     if apex in sphere.vertices:
         raise VertexClash(f"apex {apex} already occurs in the sphere")

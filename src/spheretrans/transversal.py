@@ -22,16 +22,17 @@ vertex in the most edges of the lowest tier with an edge left (MOMS:
 most occurrences in clauses of minimum size), ties to the most edges
 not yet hit, then to the smallest label.
 
-The exact solver wraps that search in one recursion over vertex blocks:
-for disjoint blocks V_1..V_k, tau(H) >= sum of tau(H[V_i]), with equality
-for the connected components.  It first splits the hypergraph into its
-components and solves each one on its own.  A component whose labels are
-closed under negation (every cs sphere) then solves its blocks of
-positive and of negative labels, and its search stops as soon as the
-incumbent reaches their sum; on cs 3-spheres with an even n that sum is
+The exact solver wraps that search in one recursion over vertex blocks,
+with one rule: for disjoint blocks V_1..V_k, tau(H) >= sum of tau(H[V_i]),
+with equality for the connected components.  Every call solves its
+components on the labels of their own edges.  A component whose labels
+are closed under negation (every cs sphere) first calls the recursion
+on its edges of one sign (the positive ones alone, doubled, when
+negation maps them onto the rest), and its search stops as soon as the
+incumbent reaches that floor; on cs 3-spheres with an even n it is
 already the greedy cover's size.  A wall-clock budget covers the whole
 call, and a timeout reports the best lower bound proven by then: per
-component, the root matching or the block sum, added up.
+component, the root matching or the floor, added up.
 """
 
 from __future__ import annotations
@@ -97,11 +98,13 @@ def facet_hypergraph(delta: PureComplex) -> Hypergraph:
 
 def is_transversal(h: Hypergraph, t: Iterable[int]) -> bool:
     """True iff t meets every edge; t must use known vertices."""
-    ts = set(t)
-    stray = ts - set(h.vertices)
+    ts, known = list(t), set(h.vertices)
+    # True and 1.0 equal 1 and hash alike, so hold t to face()'s label rule
+    stray = {v for v in ts if not isinstance(v, int) or isinstance(v, bool) or v not in known}
     if stray:
         raise UnknownVertex(f"unknown vertices {sorted(stray)}")
-    return all(ts & set(e) for e in h.edges)
+    hit = set(ts)
+    return all(hit & set(e) for e in h.edges)
 
 
 def _incidence(
@@ -333,13 +336,16 @@ def _solve(
 ) -> tuple[tuple[int, ...], int, int, bool]:
     """Minimum hitting set of these edges, as labels, with its proven
     lower bound, the running node count and whether the deadline stopped
-    a search.  Components are solved one by one; a connected one gets
-    the floor of its sign classes when blocks is set and its labels are
-    closed under negation; then _search runs.  The recursion is at most
-    four deep: components, sign classes, their components, search."""
+    a search.  Unless one component holds every label, the components
+    are solved on their own labels and added up, so every _search runs
+    on exactly the labels of its edges.  A component whose labels are
+    closed under negation gets, when blocks is set, the floor of one call
+    on its edges of one sign (the positive ones alone, doubled, when
+    negation maps them onto the rest).  The recursion is at most four
+    deep: components, sign classes, their components, search."""
     masks, inc = _incidence(vertices, edges)
     parts = _components(masks)
-    if len(parts) > 1:
+    if parts != [(1 << len(vertices)) - 1]:
         hitting: list[int] = []
         lower, timed_out = 0, False
         for part in parts:
@@ -353,14 +359,11 @@ def _solve(
     if blocks and set(vertices) == {-v for v in vertices}:
         plus = [e for e in edges if e[0] > 0]
         minus = [e for e in edges if e[-1] < 0]
-        positive = tuple(v for v in vertices if v > 0)
-        _, floor, nodes, _ = _solve(positive, plus, deadline, nodes, False)
-        if sorted(map(_negated, plus)) == minus:
+        mirrored = sorted(map(_negated, plus)) == minus
+        one_sign = plus if mirrored else plus + minus
+        _, floor, nodes, _ = _solve(vertices, one_sign, deadline, nodes, False)
+        if mirrored:
             floor *= 2
-        else:
-            negative = tuple(v for v in vertices if v < 0)
-            _, lb, nodes, _ = _solve(negative, minus, deadline, nodes, False)
-            floor += lb
     best, lower, nodes, timed_out = _search(masks, inc, deadline, floor, nodes)
     return _labels(best, vertices), lower, nodes, timed_out
 
@@ -372,20 +375,21 @@ def exact_transversal(
 
     For disjoint vertex blocks V_1..V_k, tau(H) >= sum of tau(H[V_i]),
     since a hitting set meets every edge inside V_i within V_i; for the
-    connected components this is an equality.  One recursion applies it
-    twice: the hypergraph is split into its components, and a component
-    whose labels are closed under negation first solves its blocks of
-    positive and of negative labels (reusing the positive value when
-    negation maps one onto the other).  Its search then stops as soon as
-    the incumbent reaches that sum.  A budget of zero or less solves no
-    sign block and returns the greedy cover with the matching bound.
+    connected components this is an equality.  One recursion applies it:
+    each call solves its components on their own labels, and a component
+    whose labels are closed under negation first solves its edges of one
+    sign by the same recursion (the positive ones alone, doubled, when
+    negation maps them onto the rest).  Its search stops as soon as the
+    incumbent reaches that floor.  Unused labels change nothing.  A
+    budget of zero or less solves no sign classes and returns the greedy
+    cover with the matching bound.
 
     Deterministic and sequential: given the same hypergraph the same
     certificate comes back, whatever the wall clock does short of the
     budget.  On timeout the certificate carries timed_out=True, the
     incumbent, and the best lower bound proven by then: the sum over the
-    components of the larger of the root matching and the sign blocks'
-    bounds.
+    components of the larger of the root matching and the sign-class
+    floor.
 
     Parameters
     ----------
@@ -397,8 +401,6 @@ def exact_transversal(
     if math.isnan(time_budget):
         raise InvalidParameters("time budget must be a number, got nan")
     deadline = time.monotonic() + time_budget
-    if not h.edges:
-        return TransversalCertificate(frozenset(), 0, 0, True, 0, False)
     hitting, lower, nodes, timed_out = _solve(
         h.vertices, list(h.edges), deadline, 0, time_budget > 0
     )

@@ -249,6 +249,10 @@ def test_sew_validation():
         sew(sphere, EMPTY, 5)
     with pytest.raises(InvalidParameters):
         sew(sphere, simplex([1, 2, 3]), 0)
+    # True == 1, a vertex of the sphere, and no label: refused as an apex
+    # before the clash test or face() sees it
+    with pytest.raises(InvalidParameters, match="apex"):
+        sew(sphere, simplex([1, 2, 3]), True)
 
 
 def test_sewing_into_the_cyclic_sphere():

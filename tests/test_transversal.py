@@ -90,6 +90,11 @@ def test_is_transversal():
     assert not is_transversal(h, [1, 2])
     with pytest.raises(UnknownVertex):
         is_transversal(h, [9])
+    # True and 1.0 equal 1, but neither is a label, also next to the
+    # label it equals
+    for t, label in (([True, 3], "True"), ([1, True, 3], "True"), ([1.0, 3], "1.0")):
+        with pytest.raises(UnknownVertex, match=label):
+            is_transversal(h, t)
 
 
 def test_greedy_covers_and_upper_bounds(cs_cache):
@@ -272,6 +277,43 @@ def test_solver_properties_on_signed_and_disconnected_hypergraphs(instance):
     # reaches the sign-class floor, with and without the mirrored half, and
     # the component split
     check_solver_properties(*instance)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    hst.one_of(hypergraphs(), signed_hypergraphs()),
+    hst.lists(hst.integers(-20, 20).filter(bool), max_size=6),
+)
+def test_unused_labels_leave_the_certificate_unchanged(instance, extra):
+    # every search runs on the labels of its own edges, so labels on no
+    # edge change neither the sign-class floor nor the node count
+    verts, edges = instance
+    bare = Hypergraph({v for e in edges for v in e}, edges)
+    padded = Hypergraph(verts + extra, edges)
+    for budget in (60.0, 0):
+        assert exact_transversal(padded, budget) == exact_transversal(bare, budget)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hst.one_of(hypergraphs(), signed_hypergraphs(), disjoint_unions()))
+def test_every_search_runs_on_the_labels_of_its_edges(instance):
+    search = transversal._search
+
+    def checked_search(masks, inc, deadline, floor=0, nodes=0):
+        assert 0 not in inc  # each label is on an edge of this search
+        return search(masks, inc, deadline, floor, nodes)
+
+    h = Hypergraph(*instance)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transversal, "_search", checked_search)
+        for budget in (60.0, 0):
+            exact_transversal(h, budget)
+
+
+@pytest.mark.parametrize("budget", [0, -1, 0.5, float("inf")])
+def test_edgeless_signed_hypergraph_needs_no_label(budget):
+    h = Hypergraph([-2, -1, 1, 2], [])
+    assert exact_transversal(h, budget) == TransversalCertificate(frozenset(), 0, 0, True, 0, False)
 
 
 def test_branch_vertex_takes_the_most_edges_of_the_lowest_tier():
