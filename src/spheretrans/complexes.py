@@ -18,8 +18,10 @@ polytopes, squeezed balls) pass their results to the private
 PureComplex._from_canonical, which checks nothing.  The clash and
 dimension pre-checks of join, union and relative_difference still run.
 
-All operations return new complexes and never mutate their arguments,
-so everything here is safe to share between threads.
+All operations return new complexes and never mutate their arguments.
+The one slot written lazily, the face counts that the first f_vector or
+gf2_betti stores, holds a value fixed by the facets, so everything here
+is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import comb
 from typing import Iterable, Iterator
 
@@ -60,7 +63,7 @@ class PureComplex:
     """A pure simplicial complex, identified with its facet set.  The
     constructor drops empty facets, so a lone empty facet gives EMPTY."""
 
-    __slots__ = ("_facets", "_dimension", "_vertices")
+    __slots__ = ("_facets", "_dimension", "_vertices", "_counts")
 
     def __init__(self, facets: Iterable[Iterable[int]]):
         fs = frozenset(filter(None, map(face, facets)))
@@ -83,6 +86,7 @@ class PureComplex:
         self._facets = fs
         self._dimension = len(next(iter(fs))) - 1 if fs else -1
         self._vertices = frozenset(itertools.chain.from_iterable(fs))
+        self._counts: tuple[int, ...] | None = None  # f_vector counts, once known
 
     @property
     def facets(self) -> frozenset[Face]:
@@ -253,15 +257,14 @@ class FVector:
 
 
 def f_vector(delta: PureComplex, max_faces: int = 10_000_000) -> FVector:
-    """Count faces in every dimension by downward closure, one layer at a
-    time.  Raises TooLarge once the count, the empty face included, would
-    exceed max_faces."""
-    counts = [1]
-    for c in range(1, delta.dimension + 2):
-        counts.append(len(delta.faces_of_cardinality(c)))
-        if sum(counts) > max_faces:
-            raise TooLarge(f"face count exceeds {max_faces}")
-    return FVector(tuple(counts))
+    """Count faces in every dimension by one walk down the int-code
+    layers (see _layers), holding two layers at a time.  Raises TooLarge
+    once the count, the empty face included, would exceed max_faces."""
+    if delta._counts is None:
+        delta._counts = (1, *[len(layer) for layer, _ in _layers(delta, max_faces - 1)][::-1])
+    elif sum(delta._counts) > max_faces and not delta.is_empty:  # EMPTY has no layer to guard
+        raise TooLarge(f"face count exceeds {max_faces}")
+    return FVector(delta._counts)
 
 
 @dataclass(frozen=True)
@@ -286,36 +289,38 @@ class PseudomanifoldReport:
 def is_closed_pseudomanifold(delta: PureComplex) -> PseudomanifoldReport:
     """Check that every ridge lies in exactly two facets and the facet
     adjacency graph is connected.  Returns a report, never raises on a
-    failing complex; the failing ridges are listed as witnesses.  Works on
-    the int codes of gf2_betti and decodes only the witness ridges."""
+    failing complex; the failing ridges are listed as witnesses.  One pass
+    over the int codes (see _facet_codes) maps each ridge to its first facet,
+    counts its repeats and joins the facets that share it in a union-find;
+    only the witness ridges are decoded."""
     if delta.dimension < 1:
         raise InvalidParameters("need facet dimension >= 1")
     codes, s, ranked = _facet_codes(delta)
     drops = _drops(delta.dimension + 1, s)
-    by_ridge: dict[int, list[int]] = {}  # ridge code -> indices of its facets
+    first: dict[int, int] = {}  # ridge code -> index of its first facet
+    repeats: dict[int, int] = {}  # ridge code -> facets after the first
+    parent = list(range(len(codes)))
     for j, code in enumerate(codes):
         for head, shift, keep in drops:
-            by_ridge.setdefault((code >> head) << shift | code & keep, []).append(j)
+            ridge = (code >> head) << shift | code & keep
+            if (a := first.setdefault(ridge, j)) != j:
+                repeats[ridge] = repeats.get(ridge, 0) + 1
+                # join the roots of a and j, halving their paths
+                b = j
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                parent[a] = b
     # int order of ridge codes is the lex order of their labels; a ridge
     # has the fields of drops[1:]
     field = (1 << s) - 1
     bad = tuple(
         tuple(ranked[r >> shift & field] for _, shift, _ in drops[1:])
-        for r in sorted(r for r, fs in by_ridge.items() if len(fs) != 2)
+        for r in sorted(r for r in first if repeats.get(r) != 1)
     )
-
-    # connectivity of the dual graph, walking shared ridges from facet 0
-    seen = bytearray(len(codes))
-    seen[0] = 1
-    stack = [0]
-    while stack:
-        code = codes[stack.pop()]
-        for head, shift, keep in drops:
-            for g in by_ridge[(code >> head) << shift | code & keep]:
-                if not seen[g]:
-                    seen[g] = 1
-                    stack.append(g)
-    return PseudomanifoldReport(connected=all(seen), bad_ridges=bad)
+    roots = sum(p == j for j, p in enumerate(parent))
+    return PseudomanifoldReport(connected=roots == 1, bad_ridges=bad)
 
 
 def gf2_betti(delta: PureComplex, max_faces: int = 2_000_000) -> tuple[int, ...]:
@@ -334,67 +339,87 @@ def gf2_betti(delta: PureComplex, max_faces: int = 2_000_000) -> tuple[int, ...]
     ordering faces by dimension is a filtration and such a column reduces
     to zero.
 
-    Faces are int codes, as in Ripser (Bauer, "Ripser: efficient
-    computation of Vietoris-Rips persistence barcodes", 2021): with the
-    vertices ranked 0..n-1 and s = n.bit_length(), the c-face of ranks
-    r_0 < ... < r_{c-1} is sum(r_k << s*(c-1-k)), so the int order of one
-    layer is the lex order.  The layers are built from the facets down as
-    the codes of sub-faces.  A column whose pivot row is free keeps only
-    its face code; its rows are rebuilt from the codes of its sub-faces
-    when it is reduced or added into another column.  A reduced column is
-    kept as a sparse list of rows, highest first, and becomes an int
-    bitmask only while it is being reduced: a mask is as wide as the whole
-    row layer, a row list holds a few ints.  Lex order keeps the column
-    additions few: cs_sphere(6, 16) needs 9,257 of them, while with the
-    layers in set order the reduction had not ended after 400 s.  Every
-    face code is held in memory, so the total face count is guarded.
+    Faces are int codes (see _facet_codes), as in Ripser (Bauer, "Ripser:
+    efficient computation of Vietoris-Rips persistence barcodes", 2021),
+    so the int order of one layer is the lex order.  _layers builds them
+    from the facets down, and d_i is reduced as soon as layers i and i-1
+    exist; then layer i is dropped, so two layers and the pivots are held
+    at a time, and the face count is guarded as they are built.  A column
+    whose pivot row is free keeps only its face code; its rows are rebuilt
+    from the codes of its sub-faces when it is added into another column.
+    A column being reduced is a heap of negated rows, as in Ripser: its
+    pivot is popped with the pairs that cancel, and a reduced column is
+    stored as its rows below the pivot, which are all that an addition of
+    it pushes.  Lex order keeps the column additions few:
+    cs_sphere(6, 16) needs 9,257, while in set order the reduction had not
+    ended after 400 s.
     """
     if delta.is_empty:
         raise InvalidParameters("Betti numbers of EMPTY are not defined here")
-    dim = delta.dimension
+    sizes = []  # face counts of the layers, from the facets down
+    ranks = [0]  # ranks[j] = rank of d_{dim+1-j}; d_{dim+1} and d_0 are 0
+    pivots: dict[int, int | list[int]] = {}  # pivot row -> face code or rows below it
+    upper: list[int] = []
+    for layer, drops in _layers(delta, max_faces):
+        if upper:
+            # columns: the faces of upper; rows: the faces of layer.  The
+            # pivot rows of the map above name the columns to skip
+            cleared, pivots = pivots, {}
+            index = dict(zip(layer, range(len(layer))))
+            tail = upper_drops[0][2]  # the code of F[1:], the highest row, is code & tail
+            below = upper_drops[1:]
+            for j, code in enumerate(upper):
+                if j in cleared:
+                    continue
+                low = index[code & tail]
+                if low not in pivots:
+                    pivots[low] = code
+                    continue
+                # the column below its pivot row, which the first addition cancels
+                column = [-index[(code >> h) << t | code & k] for h, t, k in below]
+                heapify(column)
+                while low in pivots:
+                    owner = pivots[low]
+                    if isinstance(owner, int):
+                        owner = [index[(owner >> h) << t | owner & k] for h, t, k in below]
+                    for r in owner:
+                        heappush(column, -r)
+                    low = _pop_pivot(column)
+                if low >= 0:  # store the rows below the pivot, highest first
+                    pivots[low] = list(iter(lambda: _pop_pivot(column), -1))
+            del cleared, index  # before the walk builds the next layer
+            ranks.append(len(pivots))
+        upper, upper_drops = layer, drops
+        sizes.append(len(layer))
+    ranks.append(0)
+    delta._counts = (1, *sizes[::-1])
+    return tuple(sizes[j] - ranks[j] - ranks[j + 1] for j in range(len(sizes)))[::-1]
+
+
+def _layers(delta: PureComplex, max_faces: int) -> Iterator[tuple[list[int], list]]:
+    """(codes, _drops(c, s)) for c = dim + 1 down to 1: the sorted int
+    codes of the c-faces, each layer built as the codes of the sub-faces
+    of the one before, holding only that layer and the one being built.
+    Raises TooLarge once the faces yielded would exceed max_faces."""
     layer, s, _ = _facet_codes(delta)
-    layers = []  # sorted codes of the faces of cardinality dim + 1, dim, ..., 1
+    layer.sort()
     total = 0
-    for c in range(dim + 1, 0, -1):
+    for c in range(delta.dimension + 1, 0, -1):
         total += len(layer)
         if total > max_faces:
             raise TooLarge(f"face count exceeds {max_faces}")
-        layers.append(sorted(layer))
-        # the last pass yields only the empty face, code 0, which is dropped
-        layer = set()
-        for head, shift, keep in _drops(c, s):
-            layer.update([(code >> head) << shift | code & keep for code in layers[-1]])
-    layers.reverse()
-
-    ranks = [0] * (dim + 2)  # ranks[i] = rank of d_i; d_0 and d_{dim+1} are 0
-    pivots: dict[int, int | list[int]] = {}  # pivot row -> face code or reduced column
-    for i in range(dim, 0, -1):
-        # the pivot rows of d_{i+1} name the columns of d_i to skip
-        cleared, pivots = pivots, {}
-        index = dict(zip(layers[i - 1], range(len(layers[i - 1]))))
-        drops = _drops(i + 1, s)
-        tail = drops[0][2]  # the code of F[1:] is code & tail
-        for j, code in enumerate(layers[i]):
-            if j in cleared:
-                continue
-            row = index[code & tail]
-            if row in pivots:
-                col = _column(code, index, drops)
-                while col and (low := col.bit_length() - 1) in pivots:
-                    col ^= _column(pivots[low], index, drops)
-                if col:
-                    pivots[low] = _rows(col)
-            else:
-                pivots[row] = code
-        ranks[i] = len(pivots)
-
-    return tuple(len(layers[i]) - ranks[i] - ranks[i + 1] for i in range(dim + 1))
+        drops = _drops(c, s)
+        yield layer, drops
+        if c > 1:  # the 1-faces would give only the empty face, code 0
+            layer = sorted({(code >> h) << t | code & k for h, t, k in drops for code in layer})
 
 
 def _facet_codes(delta: PureComplex) -> tuple[list[int], int, list[int]]:
     """(codes, s, ranked): the int codes of the facets, in facet-set order,
     the field width s and the sorted vertices, so ranked[r] is the label
-    of rank r (see gf2_betti)."""
+    of rank r.  With the vertices ranked 0..n-1 and s = n.bit_length(),
+    the c-face of ranks r_0 < ... < r_{c-1} has the code
+    sum(r_k << s*(c-1-k)), so the int order of one layer is its lex order."""
     ranked = sorted(delta.vertices)
     rank = {v: r for r, v in enumerate(ranked)}
     s = len(ranked).bit_length()
@@ -413,30 +438,15 @@ def _drops(c: int, s: int) -> list[tuple[int, int, int]]:
     return [(shift + s, shift, (1 << shift) - 1) for shift in range(s * (c - 1), -1, -s)]
 
 
-def _column(
-    entry: int | list[int], index: dict[int, int], drops: list[tuple[int, int, int]]
-) -> int:
-    """Bitmask of a column kept as a face code (its rows rebuilt from the
-    codes of its sub-faces) or as a reduced list of rows."""
-    if isinstance(entry, int):
-        entry = [index[(entry >> head) << shift | entry & keep] for head, shift, keep in drops]
-    return _mask(entry)
-
-
-def _mask(rows: list[int]) -> int:
-    m = 0
-    for r in rows:
-        m |= 1 << r
-    return m
-
-
-def _rows(mask: int) -> list[int]:
-    rows = []
-    while mask:
-        r = mask.bit_length() - 1
-        rows.append(r)
-        mask ^= 1 << r
-    return rows
+def _pop_pivot(column: list[int]) -> int:
+    """Pop the highest row of odd multiplicity from a heap of negated rows,
+    with the pairs above it that cancel; -1 once the column is empty."""
+    while column:
+        top = heappop(column)
+        if not column or column[0] != top:
+            return -top
+        heappop(column)
+    return -1
 
 
 def sphere_betti_profile(dim: int) -> tuple[int, ...]:
@@ -452,7 +462,7 @@ def is_k_neighborly(delta: PureComplex, k: int) -> bool:
     """True iff every k-subset of the vertices is a face."""
     if not 1 <= k <= delta.dimension + 1:
         raise InvalidParameters(f"k={k} out of range for dimension {delta.dimension}")
-    return len(delta.faces_of_cardinality(k)) == comb(delta.vertex_count, k)
+    return _face_count(delta, k) == comb(delta.vertex_count, k)
 
 
 def is_cs(delta: PureComplex) -> bool:
@@ -474,4 +484,10 @@ def is_cs_k_neighborly(delta: PureComplex, k: int) -> bool:
         raise InvalidParameters(f"k={k} out of range for dimension {delta.dimension}")
     # a cs complex has f0/2 antipodal pairs and antipode-free faces, so its
     # k-faces are among the C(f0/2, k) * 2^k antipode-free k-subsets
-    return len(delta.faces_of_cardinality(k)) == comb(delta.vertex_count // 2, k) * 2**k
+    return _face_count(delta, k) == comb(delta.vertex_count // 2, k) * 2**k
+
+
+def _face_count(delta: PureComplex, k: int) -> int:
+    """The number of k-faces: stored by f_vector or gf2_betti, else counted."""
+    counts = delta._counts
+    return counts[k] if counts else len(delta.faces_of_cardinality(k))

@@ -102,7 +102,9 @@ def is_transversal(h: Hypergraph, t: Iterable[int]) -> bool:
     # True and 1.0 equal 1 and hash alike, so hold t to face()'s label rule
     stray = {v for v in ts if not isinstance(v, int) or isinstance(v, bool) or v not in known}
     if stray:
-        raise UnknownVertex(f"unknown vertices {sorted(stray)}")
+        # ints by value, then the rest by repr: no comparison across types
+        listed = sorted(stray, key=lambda v: (type(v) is not int, v if type(v) is int else repr(v)))
+        raise UnknownVertex(f"unknown vertices {listed}")
     hit = set(ts)
     return all(hit & set(e) for e in h.edges)
 

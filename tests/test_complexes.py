@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from helpers import cs_neighborly_by_enumeration, facet_lists, gf2_betti_dense, signed_relabelling
 from spheretrans import (
@@ -302,6 +303,59 @@ def test_betti_numbers_match_the_dense_oracle(facets):
     betti = gf2_betti(delta)
     assert betti == gf2_betti_dense(delta.facets)
     assert _euler_from_betti(betti) == f_vector(delta).euler_characteristic
+
+
+CHECKS = {
+    "f_vector": lambda delta: f_vector(delta).counts,
+    "gf2_betti": gf2_betti,
+    "is_k_neighborly": lambda delta: [
+        is_k_neighborly(delta, k) for k in range(1, delta.dimension + 2)
+    ],
+    "is_cs_k_neighborly": lambda delta: [
+        is_cs_k_neighborly(delta, k) for k in range(1, delta.dimension + 2)
+    ],
+}
+
+
+def _answer(check, delta):
+    try:
+        return CHECKS[check](delta)
+    except NotCentrallySymmetric as exc:
+        return repr(exc)
+
+
+def _answers_in_order(facets, order):
+    delta = PureComplex(facets)
+    return {check: _answer(check, delta) for check in order}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(facet_lists(), hst.permutations(list(CHECKS)))
+def test_stored_face_counts_do_not_depend_on_call_order(facets, order):
+    delta = PureComplex(facets)
+    counts = f_vector(delta).counts
+    assert counts == tuple(
+        len(delta.faces_of_cardinality(c)) for c in range(delta.dimension + 2)
+    )
+    # each check alone on a fresh complex, then all of them on one
+    # complex in the drawn order
+    alone = {check: _answer(check, PureComplex(facets)) for check in CHECKS}
+    assert _answers_in_order(facets, order) == alone
+    # the guard holds also when gf2_betti stored the counts
+    stored = PureComplex(facets)
+    gf2_betti(stored)
+    with pytest.raises(TooLarge, match=f"face count exceeds {sum(counts) - 1}"):
+        f_vector(stored, max_faces=sum(counts) - 1)
+    assert f_vector(stored, max_faces=sum(counts)).counts == counts
+
+
+def test_stored_face_counts_on_cs_spheres():
+    for d, n in ((3, 8), (4, 9), (5, 8)):
+        facets = list(cs_sphere(d, n).facets)
+        alone = {check: _answer(check, PureComplex(facets)) for check in CHECKS}
+        assert all(alone["is_cs_k_neighborly"][: (d + 1) // 2])
+        for order in (list(CHECKS), list(CHECKS)[::-1]):
+            assert _answers_in_order(facets, order) == alone
 
 
 def _shifted(delta, by):

@@ -95,6 +95,9 @@ def test_is_transversal():
     for t, label in (([True, 3], "True"), ([1, True, 3], "True"), ([1.0, 3], "1.0")):
         with pytest.raises(UnknownVertex, match=label):
             is_transversal(h, t)
+    # stray labels of different types are listed without comparing them
+    with pytest.raises(UnknownVertex, match="'a'"):
+        is_transversal(Hypergraph([1, 2], [(1, 2)]), ["a", 9])
 
 
 def test_greedy_covers_and_upper_bounds(cs_cache):
