@@ -261,7 +261,7 @@ def f_vector(delta: PureComplex, max_faces: int = 10_000_000) -> FVector:
     layers (see _layers), holding two layers at a time.  Raises TooLarge
     once the count, the empty face included, would exceed max_faces."""
     if delta._counts is None:
-        delta._counts = (1, *[len(layer) for layer, _ in _layers(delta, max_faces - 1)][::-1])
+        delta._counts = (1, *[len(layer) for layer, _ in _layers(delta, max_faces, 1)][::-1])
     elif sum(delta._counts) > max_faces and not delta.is_empty:  # EMPTY has no layer to guard
         raise TooLarge(f"face count exceeds {max_faces}")
     return FVector(delta._counts)
@@ -396,14 +396,16 @@ def gf2_betti(delta: PureComplex, max_faces: int = 2_000_000) -> tuple[int, ...]
     return tuple(sizes[j] - ranks[j] - ranks[j + 1] for j in range(len(sizes)))[::-1]
 
 
-def _layers(delta: PureComplex, max_faces: int) -> Iterator[tuple[list[int], list]]:
+def _layers(
+    delta: PureComplex, max_faces: int, total: int = 0
+) -> Iterator[tuple[list[int], list]]:
     """(codes, _drops(c, s)) for c = dim + 1 down to 1: the sorted int
     codes of the c-faces, each layer built as the codes of the sub-faces
     of the one before, holding only that layer and the one being built.
-    Raises TooLarge once the faces yielded would exceed max_faces."""
+    Raises TooLarge once total plus the faces yielded would exceed
+    max_faces."""
     layer, s, _ = _facet_codes(delta)
     layer.sort()
-    total = 0
     for c in range(delta.dimension + 1, 0, -1):
         total += len(layer)
         if total > max_faces:
