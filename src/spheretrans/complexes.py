@@ -19,14 +19,18 @@ PureComplex._from_canonical, which checks nothing.  The clash and
 dimension pre-checks of join, union and relative_difference still run.
 
 All operations return new complexes and never mutate their arguments.
-The one slot written lazily, the face counts that the first f_vector or
-gf2_betti stores, holds a value fixed by the facets, so everything here
-is safe to share between threads.
+Two slots are written lazily: the vertex set, on the first call of
+vertices or vertex_count, and the face codes of every layer, which the
+first complete walk of f_vector or gf2_betti keeps at 8 bytes a face
+(see _layers).  Both hold values fixed by the
+facets, so a race only computes one twice, and everything here is safe
+to share between threads.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -63,7 +67,7 @@ class PureComplex:
     """A pure simplicial complex, identified with its facet set.  The
     constructor drops empty facets, so a lone empty facet gives EMPTY."""
 
-    __slots__ = ("_facets", "_dimension", "_vertices", "_counts")
+    __slots__ = ("_facets", "_dimension", "_vertices", "_codes")
 
     def __init__(self, facets: Iterable[Iterable[int]]):
         fs = frozenset(filter(None, map(face, facets)))
@@ -85,8 +89,8 @@ class PureComplex:
     def _set_facets(self, fs: frozenset[Face]) -> None:
         self._facets = fs
         self._dimension = len(next(iter(fs))) - 1 if fs else -1
-        self._vertices = frozenset(itertools.chain.from_iterable(fs))
-        self._counts: tuple[int, ...] | None = None  # f_vector counts, once known
+        self._vertices: frozenset[int] | None = None  # once asked for
+        self._codes: tuple[int, tuple[array | list[int], ...]] | None = None  # see _layers
 
     @property
     def facets(self) -> frozenset[Face]:
@@ -99,11 +103,13 @@ class PureComplex:
 
     @property
     def vertices(self) -> frozenset[int]:
+        if self._vertices is None:
+            self._vertices = frozenset(itertools.chain.from_iterable(self._facets))
         return self._vertices
 
     @property
     def vertex_count(self) -> int:
-        return len(self._vertices)
+        return len(self.vertices)
 
     @property
     def is_empty(self) -> bool:
@@ -257,14 +263,11 @@ class FVector:
 
 
 def f_vector(delta: PureComplex, max_faces: int = 10_000_000) -> FVector:
-    """Count faces in every dimension by one walk down the int-code
-    layers (see _layers), holding two layers at a time.  Raises TooLarge
-    once the count, the empty face included, would exceed max_faces."""
-    if delta._counts is None:
-        delta._counts = (1, *[len(layer) for layer, _ in _layers(delta, max_faces, 1)][::-1])
-    elif sum(delta._counts) > max_faces and not delta.is_empty:  # EMPTY has no layer to guard
-        raise TooLarge(f"face count exceeds {max_faces}")
-    return FVector(delta._counts)
+    """Count faces in every dimension as the lengths of the int-code
+    layers (see _layers), which the first walk keeps on the complex at
+    8 bytes a face.  Raises TooLarge once the count, the empty face
+    included, would exceed max_faces."""
+    return FVector((1, *[len(layer) for layer, _ in _layers(delta, max_faces, 1)][::-1]))
 
 
 @dataclass(frozen=True)
@@ -341,79 +344,100 @@ def gf2_betti(delta: PureComplex, max_faces: int = 2_000_000) -> tuple[int, ...]
 
     Faces are int codes (see _facet_codes), as in Ripser (Bauer, "Ripser:
     efficient computation of Vietoris-Rips persistence barcodes", 2021),
-    so the int order of one layer is the lex order.  _layers builds them
-    from the facets down, and d_i is reduced as soon as layers i and i-1
-    exist; then layer i is dropped, so two layers and the pivots are held
-    at a time, and the face count is guarded as they are built.  A column
-    whose pivot row is free keeps only its face code; its rows are rebuilt
-    from the codes of its sub-faces when it is added into another column.
-    A column being reduced is a heap of negated rows, as in Ripser: its
-    pivot is popped with the pairs that cancel, and a reduced column is
-    stored as its rows below the pivot, which are all that an addition of
-    it pushes.  Lex order keeps the column additions few:
-    cs_sphere(6, 16) needs 9,257, while in set order the reduction had not
-    ended after 400 s.
+    so the int order of one layer is the lex order, and rows and pivots
+    are keyed by their codes.  _layers yields the layers from the facets
+    down, walking them once per complex and keeping them at 8 bytes a
+    face, and d_i is reduced as soon as layers i and i-1 are yielded; the
+    face count is guarded as they are.  Of the map above only its pivot
+    rows are kept, to clear with.  A column whose pivot row is free keeps
+    only its face code; its rows are rebuilt from the codes of its
+    sub-faces when it is added into another column.  A column being
+    reduced is a heap of negated rows, as in Ripser: its pivot is popped
+    with the pairs that cancel, and a reduced column is stored as its
+    rows below the pivot, which are all that an addition of it pushes.
+    Lex order keeps the column additions few: cs_sphere(6, 16) needs
+    9,257, while in set order the reduction had not ended after 400 s.
     """
     if delta.is_empty:
         raise InvalidParameters("Betti numbers of EMPTY are not defined here")
     sizes = []  # face counts of the layers, from the facets down
     ranks = [0]  # ranks[j] = rank of d_{dim+1-j}; d_{dim+1} and d_0 are 0
     pivots: dict[int, int | list[int]] = {}  # pivot row -> face code or rows below it
-    upper: list[int] = []
+    upper: array | list[int] = []
     for layer, drops in _layers(delta, max_faces):
         if upper:
             # columns: the faces of upper; rows: the faces of layer.  The
             # pivot rows of the map above name the columns to skip
-            cleared, pivots = pivots, {}
-            index = dict(zip(layer, range(len(layer))))
+            cleared, pivots = set(pivots), {}
             tail = upper_drops[0][2]  # the code of F[1:], the highest row, is code & tail
             below = upper_drops[1:]
-            for j, code in enumerate(upper):
-                if j in cleared:
+            for code in upper:
+                if code in cleared:
                     continue
-                low = index[code & tail]
+                low = code & tail
                 if low not in pivots:
                     pivots[low] = code
                     continue
                 # the column below its pivot row, which the first addition cancels
-                column = [-index[(code >> h) << t | code & k] for h, t, k in below]
+                column = [-((code >> h) << t | code & k) for h, t, k in below]
                 heapify(column)
                 while low in pivots:
                     owner = pivots[low]
                     if isinstance(owner, int):
-                        owner = [index[(owner >> h) << t | owner & k] for h, t, k in below]
+                        owner = [(owner >> h) << t | owner & k for h, t, k in below]
                     for r in owner:
                         heappush(column, -r)
                     low = _pop_pivot(column)
                 if low >= 0:  # store the rows below the pivot, highest first
                     pivots[low] = list(iter(lambda: _pop_pivot(column), -1))
-            del cleared, index  # before the walk builds the next layer
+            del cleared  # before the walk builds the next layer
             ranks.append(len(pivots))
         upper, upper_drops = layer, drops
         sizes.append(len(layer))
     ranks.append(0)
-    delta._counts = (1, *sizes[::-1])
     return tuple(sizes[j] - ranks[j] - ranks[j + 1] for j in range(len(sizes)))[::-1]
 
 
 def _layers(
     delta: PureComplex, max_faces: int, total: int = 0
-) -> Iterator[tuple[list[int], list]]:
+) -> Iterator[tuple[array | list[int], list]]:
     """(codes, _drops(c, s)) for c = dim + 1 down to 1: the sorted int
-    codes of the c-faces, each layer built as the codes of the sub-faces
-    of the one before, holding only that layer and the one being built.
-    Raises TooLarge once total plus the faces yielded would exceed
-    max_faces."""
-    layer, s, _ = _facet_codes(delta)
-    layer.sort()
-    for c in range(delta.dimension + 1, 0, -1):
+    codes of the c-faces.  The first walk builds each layer as the codes
+    of the sub-faces of the one before and, once it has yielded them all,
+    keeps them on the complex: as an array('Q'), 8 bytes a face, when a
+    facet's code fits in 64 bits, else as a list.  Later calls yield the
+    kept layers.  Raises TooLarge once total plus the faces
+    yielded would exceed max_faces; a walk stopped that way keeps
+    nothing."""
+    stored = delta._codes
+    if stored:
+        s, layers = stored
+    else:
+        codes, s, _ = _facet_codes(delta)
+        layers = _walk(codes, s, delta.dimension + 1)
+    kept = []
+    for c, layer in zip(range(delta.dimension + 1, 0, -1), layers):
         total += len(layer)
         if total > max_faces:
             raise TooLarge(f"face count exceeds {max_faces}")
-        drops = _drops(c, s)
-        yield layer, drops
+        yield layer, _drops(c, s)
+        kept.append(layer)
+    if not stored:
+        delta._codes = (s, tuple(kept))
+
+
+def _walk(codes: Iterable[int], s: int, top: int) -> Iterator[array | list[int]]:
+    """The sorted codes of the c-faces for c = top down to 1, from the
+    codes of the top-faces: each layer is the codes of the sub-faces of
+    the one before."""
+    wide = s * top > 64
+    for c in range(top, 0, -1):
+        codes = sorted(codes)  # frees the set before the array is filled
+        layer = codes if wide else array("Q", codes)
+        del codes
+        yield layer
         if c > 1:  # the 1-faces would give only the empty face, code 0
-            layer = sorted({(code >> h) << t | code & k for h, t, k in drops for code in layer})
+            codes = {(code >> h) << t | code & k for h, t, k in _drops(c, s) for code in layer}
 
 
 def _facet_codes(delta: PureComplex) -> tuple[list[int], int, list[int]]:
@@ -490,6 +514,9 @@ def is_cs_k_neighborly(delta: PureComplex, k: int) -> bool:
 
 
 def _face_count(delta: PureComplex, k: int) -> int:
-    """The number of k-faces: stored by f_vector or gf2_betti, else counted."""
-    counts = delta._counts
-    return counts[k] if counts else len(delta.faces_of_cardinality(k))
+    """The number of k-faces: the length of layer k when the layers are
+    kept (see _layers), else the count of that layer alone, which is
+    cheaper than a walk of every layer."""
+    if delta._codes:
+        return len(delta._codes[1][delta.dimension + 1 - k])
+    return len(delta.faces_of_cardinality(k))

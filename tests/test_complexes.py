@@ -1,4 +1,6 @@
+import itertools
 import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from spheretrans import (
     sphere_betti_profile,
     union,
 )
+from spheretrans import complexes
 from spheretrans.errors import (
     DimensionMismatch,
     FaceNotPresent,
@@ -329,6 +332,18 @@ def _answers_in_order(facets, order):
     return {check: _answer(check, delta) for check in order}
 
 
+def _sorted_codes(delta, c, s):
+    """The sorted int codes of the c-faces, as _facet_codes defines them."""
+    rank = {v: r for r, v in enumerate(sorted(delta.vertices))}
+    codes = []
+    for F in delta.faces_of_cardinality(c):
+        code = 0
+        for v in F:
+            code = code << s | rank[v]
+        codes.append(code)
+    return sorted(codes)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(facet_lists(), hst.permutations(list(CHECKS)))
 def test_stored_face_counts_do_not_depend_on_call_order(facets, order):
@@ -337,6 +352,9 @@ def test_stored_face_counts_do_not_depend_on_call_order(facets, order):
     assert counts == tuple(
         len(delta.faces_of_cardinality(c)) for c in range(delta.dimension + 2)
     )
+    s, layers = delta._codes
+    for c, layer in zip(range(delta.dimension + 1, 0, -1), layers):
+        assert list(layer) == _sorted_codes(delta, c, s)
     # each check alone on a fresh complex, then all of them on one
     # complex in the drawn order
     alone = {check: _answer(check, PureComplex(facets)) for check in CHECKS}
@@ -357,6 +375,40 @@ def test_stored_face_counts_on_cs_spheres():
         assert all(alone["is_cs_k_neighborly"][: (d + 1) // 2])
         for order in (list(CHECKS), list(CHECKS)[::-1]):
             assert _answers_in_order(facets, order) == alone
+
+
+WALKED_ONCE = ("f_vector", "gf2_betti", "is_k_neighborly")
+
+
+@pytest.mark.parametrize("order", itertools.permutations(WALKED_ONCE))
+def test_each_complex_is_walked_once(monkeypatch, order):
+    walks = []
+    facet_codes = complexes._facet_codes
+    monkeypatch.setattr(
+        complexes, "_facet_codes", lambda delta: walks.append(delta) or facet_codes(delta)
+    )
+    delta = PureComplex(cs_sphere(4, 9).facets)
+    for check in order:
+        CHECKS[check](delta)
+    assert walks == [delta]
+
+
+def test_face_codes_wider_than_64_bits():
+    # 13 vertex-disjoint boundaries of the 10-simplex: 143 vertices, so
+    # 8-bit fields and 80-bit facet codes, kept as lists
+    facets = [
+        F for i in range(13) for F in itertools.combinations(range(11 * i + 1, 11 * i + 12), 10)
+    ]
+    counts = (1, *(13 * comb(11, c) for c in range(1, 11)))
+    betti = (13, *[0] * 8, 13)
+    first, second = PureComplex(facets), PureComplex(facets)
+    assert f_vector(first).counts == counts and gf2_betti(first) == betti
+    assert gf2_betti(second) == betti and f_vector(second).counts == counts
+    for delta in (first, second):
+        s, layers = delta._codes
+        assert s * (delta.dimension + 1) == 80
+        assert all(type(layer) is list for layer in layers)
+        assert layers[0] == _sorted_codes(delta, 10, s)
 
 
 def _shifted(delta, by):
