@@ -293,12 +293,17 @@ def is_closed_pseudomanifold(delta: PureComplex) -> PseudomanifoldReport:
     """Check that every ridge lies in exactly two facets and the facet
     adjacency graph is connected.  Returns a report, never raises on a
     failing complex; the failing ridges are listed as witnesses.  One pass
-    over the int codes (see _facet_codes) maps each ridge to its first facet,
-    counts its repeats and joins the facets that share it in a union-find;
-    only the witness ridges are decoded."""
+    over the int codes (see _facet_codes), the kept top layer when there is
+    one, maps each ridge to its first facet, counts its repeats and joins
+    the facets that share it in a union-find; only the witness ridges are
+    decoded."""
     if delta.dimension < 1:
         raise InvalidParameters("need facet dimension >= 1")
-    codes, s, ranked = _facet_codes(delta)
+    if delta._codes:  # its top layer is the facet codes, sorted
+        s, (codes, *_) = delta._codes
+        ranked = sorted(delta.vertices)
+    else:
+        codes, s, ranked = _facet_codes(delta)
     drops = _drops(delta.dimension + 1, s)
     first: dict[int, int] = {}  # ridge code -> index of its first facet
     repeats: dict[int, int] = {}  # ridge code -> facets after the first

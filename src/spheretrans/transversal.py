@@ -2,13 +2,13 @@
 
 A transversal (hitting set) meets every edge.  Greedy cover, matching
 bound and exact solver share one core over python-int bitsets: each edge
-is a mask over the sorted labels, and its transpose inc[v] is the mask of
-the edge positions that contain vertex v.  A set of edges is then one
-int, the degree of v among the edges R is (inc[v] & R).bit_count(), and
-taking v removes inc[v] from R in one operation.  The greedy cover takes
-the vertex in the most edges not yet hit, ties to the smallest label:
-the search's branching rule below, with every edge not yet hit in one
-tier.
+is a mask over the sorted labels, and its transpose inc[v], built as
+text in time linear in edges times labels, is the mask of the edge
+positions that contain vertex v.  A set of edges is then one int, the
+degree of v among the edges R is (inc[v] & R).bit_count(), and taking v
+removes inc[v] from R in one operation.  The greedy cover takes the
+vertex in the most edges not yet hit, ties to the smallest label: the
+search's branching rule below, with every edge not yet hit in one tier.
 
 The search is a deterministic branch and bound on an explicit stack: it
 seeds with the greedy cover, prunes with a greedy matching lower bound,
@@ -109,24 +109,23 @@ def is_transversal(h: Hypergraph, t: Iterable[int]) -> bool:
     return all(hit & set(e) for e in h.edges)
 
 
-def _incidence(
-    vertices: tuple[int, ...], edges: Iterable[Face]
-) -> tuple[list[int], list[int]]:
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """Columns i < width of the bit matrix rows (each below 1 << width):
+    bit j of column i is bit i of rows[j].  Written out by one format call
+    as fixed-width binary text, last row first, a column is one strided
+    slice: linear in len(rows) * width."""
+    text = (f"{{:0{width}b}}" * len(rows)).format(*reversed(rows))
+    return [int(text[width - 1 - i :: width] or "0", 2) for i in range(width)]
+
+
+def _incidence(vertices: tuple[int, ...], edges: Iterable[Face]) -> tuple[list[int], list[int]]:
     """Edges as bitmasks over the labels in `vertices` (sorted), in edge
-    order, and the transpose: bit j of inc[v] is set iff edge j contains
-    vertex v."""
-    index = {v: i for i, v in enumerate(vertices)}
-    masks = []
-    inc = [0] * len(vertices)
-    for j, e in enumerate(edges):
-        bit = 1 << j
-        m = 0
-        for v in e:
-            i = index[v]
-            m |= 1 << i
-            inc[i] |= bit
-        masks.append(m)
-    return masks, inc
+    order (an edge's labels are distinct, so the sum of their bits is
+    their union), and the transpose: bit j of inc[v] is set iff edge j
+    contains vertex v."""
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    masks = [sum(map(bit.__getitem__, e)) for e in edges]
+    return masks, _transpose(masks, len(vertices))
 
 
 def _labels(mask: int, labels: tuple[int, ...]) -> tuple[int, ...]:
@@ -214,16 +213,16 @@ def _root(masks: list[int], inc: list[int]) -> _Node:
     """The search's root node (rem, live, picked, tiers): a one-vertex
     edge forces its vertex, and every other edge starts in the tier of
     its size.  Tier j holds the edges with exactly j + 2 live vertices;
-    edges already hit may linger in a tier, so every use ANDs with rem."""
-    rem = (1 << len(masks)) - 1
-    picked = 0
-    tiers = [0] * (max(m.bit_count() for m in masks) - 1)
-    for j, m in enumerate(masks):
-        if m & (m - 1):
-            tiers[m.bit_count() - 2] |= 1 << j
-        else:
-            picked |= m
-            rem &= ~inc[m.bit_length() - 1]
+    edges already hit may linger in a tier, so every use ANDs with rem.
+    The edges of each size come from the transpose of one-hot sizes."""
+    hots = [1 << m.bit_count() - 1 for m in masks]
+    units, *tiers = _transpose(hots, max(hots, default=1).bit_length())
+    rem, picked = (1 << len(masks)) - 1, 0
+    while units:
+        m = masks[(units & -units).bit_length() - 1]
+        picked |= m
+        rem &= ~inc[m.bit_length() - 1]
+        units &= units - 1
     return rem, (1 << len(inc)) - 1 & ~picked, picked, tuple(tiers)
 
 

@@ -9,7 +9,8 @@ the facets containing a face by scanning every facet, and build the
 signed pair sets pair by pair.  The relative squeezed ball oracle
 subtracts the ball of the shifted antichain.  facet_lists draws small
 pure complexes as plain facet lists, and signed_relabelling applies one
-fixed signed relabelling that keeps antipodes antipodal."""
+fixed signed relabelling that keeps antipodes antipodal.  The incidence
+oracles set the solver's bitsets one incidence and one edge at a time."""
 
 import itertools
 import random
@@ -44,6 +45,39 @@ def brute_force_transversal(vertices, edges):
             if all(m & em for em in masks):
                 return size, frozenset(combo)
     raise AssertionError("unhittable edge set")
+
+
+def incidence_by_loop(vertices, edges):
+    """(masks, inc) of the solver: mask j has bit i for each label
+    vertices[i] of edges[j], and bit j of inc[i] is set iff it does; one
+    OR per incidence."""
+    index = {v: i for i, v in enumerate(vertices)}
+    masks = []
+    inc = [0] * len(vertices)
+    for j, e in enumerate(edges):
+        m = 0
+        for v in e:
+            m |= 1 << index[v]
+            inc[index[v]] |= 1 << j
+        masks.append(m)
+    return masks, inc
+
+
+def root_by_loop(masks, inc):
+    """The solver's root node (rem, live, picked, tiers), one edge at a
+    time: a one-vertex edge is picked and its vertex's edges leave rem,
+    and an edge of c >= 2 vertices goes into tiers[c - 2], which run up
+    to the largest edge."""
+    rem = (1 << len(masks)) - 1
+    picked = 0
+    tiers = [0] * (max((m.bit_count() for m in masks), default=1) - 1)
+    for j, m in enumerate(masks):
+        if m.bit_count() == 1:
+            picked |= m
+            rem &= ~inc[m.bit_length() - 1]
+        else:
+            tiers[m.bit_count() - 2] |= 1 << j
+    return rem, (1 << len(inc)) - 1 & ~picked, picked, tuple(tiers)
 
 
 def milp_transversal(vertices, edges):

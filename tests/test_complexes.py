@@ -317,13 +317,14 @@ CHECKS = {
     "is_cs_k_neighborly": lambda delta: [
         is_cs_k_neighborly(delta, k) for k in range(1, delta.dimension + 2)
     ],
+    "is_closed_pseudomanifold": is_closed_pseudomanifold,
 }
 
 
 def _answer(check, delta):
     try:
         return CHECKS[check](delta)
-    except NotCentrallySymmetric as exc:
+    except (NotCentrallySymmetric, InvalidParameters) as exc:
         return repr(exc)
 
 
@@ -391,6 +392,28 @@ def test_each_complex_is_walked_once(monkeypatch, order):
     for check in order:
         CHECKS[check](delta)
     assert walks == [delta]
+
+
+def test_pseudomanifold_check_reads_the_kept_facet_codes(monkeypatch):
+    calls = []
+    facet_codes = complexes._facet_codes
+    monkeypatch.setattr(
+        complexes, "_facet_codes", lambda delta: calls.append(delta) or facet_codes(delta)
+    )
+    # a cs sphere, and one with a facet removed: its witnesses are the
+    # removed facet's ridges, in lex order
+    sphere = cs_sphere(4, 9)
+    holed = PureComplex(sorted(sphere.facets)[1:])
+    for delta in (sphere, holed):
+        fresh, walked = PureComplex(delta.facets), PureComplex(delta.facets)
+        f_vector(walked)
+        calls.clear()
+        assert is_closed_pseudomanifold(walked) == is_closed_pseudomanifold(fresh)
+        assert calls == [fresh]
+    hole = sorted(sphere.facets)[0]
+    assert is_closed_pseudomanifold(holed).bad_ridges == tuple(
+        hole[:k] + hole[k + 1 :] for k in reversed(range(len(hole)))
+    )
 
 
 def test_face_codes_wider_than_64_bits():

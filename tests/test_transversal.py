@@ -8,12 +8,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from helpers import brute_force_transversal, milp_transversal, signed_relabelling
+from helpers import (
+    brute_force_transversal,
+    incidence_by_loop,
+    milp_transversal,
+    root_by_loop,
+    signed_relabelling,
+)
 from spheretrans import (
     EMPTY,
     Hypergraph,
     PureComplex,
     TransversalCertificate,
+    cross_boundary,
     cs_sphere,
     cyclic_boundary,
     enumerate_pair_poset,
@@ -311,6 +318,37 @@ def test_every_search_runs_on_the_labels_of_its_edges(instance):
         patch.setattr(transversal, "_search", checked_search)
         for budget in (60.0, 0):
             exact_transversal(h, budget)
+
+
+def check_incidence(h):
+    masks, inc = transversal._incidence(h.vertices, h.edges)
+    assert (masks, inc) == incidence_by_loop(h.vertices, h.edges)
+    assert transversal._root(masks, inc) == root_by_loop(masks, inc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hst.one_of(hypergraphs(), signed_hypergraphs(), disjoint_unions()))
+def test_incidence_and_root_match_the_loop_oracle(instance):
+    check_incidence(Hypergraph(*instance))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Hypergraph([-2, -1, 1, 2], []),
+        # 90 labels, 34 of them on no edge (81..90 among them), so the
+        # masks are wider than 64 bits and end in unused labels
+        lambda: Hypergraph(range(1, 91), [(v, v + 2, 2 * v + 20) for v in range(1, 31)]),
+        lambda: Hypergraph(range(1, 6), [(1,), (3,), (5,), (1, 2), (2, 3, 4)]),
+        lambda: Hypergraph(
+            [-4, -3, -2, -1, 1, 2, 3, 4], [(-4,), (-3, 1), (-2, 2, 4), (1, 2, 3, 4), (-1, 2)]
+        ),
+        lambda: facet_hypergraph(cross_boundary(12)),
+    ],
+    ids=["edgeless", "unused-labels", "unit-edges", "mixed-sizes", "cross-12"],
+)
+def test_incidence_and_root_match_the_loop_oracle_on_edge_cases(build):
+    check_incidence(build())
 
 
 @pytest.mark.parametrize("budget", [0, -1, 0.5, float("inf")])
