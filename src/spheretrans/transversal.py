@@ -17,10 +17,13 @@ vertex count.  Taking a vertex never shrinks an edge that is left, so
 that child keeps the tiers, and units appear only at the root and in the
 child that excludes the branching vertex, whose edges move down a tier.
 The matching at a node takes the edges with two live vertices first,
-then those with three, and so on.  The search branches on the live
-vertex in the most edges of the lowest tier with an edge left (MOMS:
-most occurrences in clauses of minimum size), ties to the most edges
-not yet hit, then to the smallest label.
+then those with three, and so on.  When it is one short of the
+incumbent, a smaller hitting set takes exactly one vertex of each
+matched edge and none outside them, so an edge with a single vertex in
+the matched edges forces it (gap-one forcing).  The search branches on
+the live vertex in the most edges of the lowest tier with an edge left
+(MOMS: most occurrences in clauses of minimum size), ties to the most
+edges not yet hit, then to the smallest label.
 
 The exact solver wraps that search in one recursion over vertex blocks,
 with one rule: for disjoint blocks V_1..V_k, tau(H) >= sum of tau(H[V_i]),
@@ -109,12 +112,10 @@ def is_transversal(h: Hypergraph, t: Iterable[int]) -> bool:
     return all(hit & set(e) for e in h.edges)
 
 
-def _transpose(rows: list[int], width: int) -> list[int]:
-    """Columns i < width of the bit matrix rows (each below 1 << width):
-    bit j of column i is bit i of rows[j].  Written out by one format call
-    as fixed-width binary text, last row first, a column is one strided
-    slice: linear in len(rows) * width."""
-    text = (f"{{:0{width}b}}" * len(rows)).format(*reversed(rows))
+def _columns(text: str, width: int) -> list[int]:
+    """Columns i < width of a bit matrix written as text, last row first,
+    each row in `width` binary digits: bit j of column i is bit i of row
+    j.  A column is one strided slice, so this is linear in len(text)."""
     return [int(text[width - 1 - i :: width] or "0", 2) for i in range(width)]
 
 
@@ -122,10 +123,12 @@ def _incidence(vertices: tuple[int, ...], edges: Iterable[Face]) -> tuple[list[i
     """Edges as bitmasks over the labels in `vertices` (sorted), in edge
     order (an edge's labels are distinct, so the sum of their bits is
     their union), and the transpose: bit j of inc[v] is set iff edge j
-    contains vertex v."""
+    contains vertex v, read from the masks written out by one format
+    call."""
     bit = {v: 1 << i for i, v in enumerate(vertices)}
     masks = [sum(map(bit.__getitem__, e)) for e in edges]
-    return masks, _transpose(masks, len(vertices))
+    n = len(vertices)
+    return masks, _columns((f"{{:0{n}b}}" * len(masks)).format(*reversed(masks)), n)
 
 
 def _labels(mask: int, labels: tuple[int, ...]) -> tuple[int, ...]:
@@ -147,24 +150,27 @@ def _greedy(inc: list[int], rem: int) -> int:
 
 def _matching(
     masks: list[int], inc: list[int], tiers: Iterable[int], rem: int, live: int, cap: int
-) -> int:
+) -> tuple[int, int]:
     """Size, capped at cap, of a greedy pairwise-disjoint collection of
     the edges of rem restricted to live: the lowest edge of the first
-    tier first, then of the next tier, and so on."""
-    count = 0
+    tier first, then of the next tier, and so on.  Also the cover, the
+    union of the matched edges' live parts.  Below the cap the matching
+    is maximal: every edge of rem in the tiers meets the cover."""
+    count = cover = 0
     for tier in tiers:
         tier &= rem
         while tier:
             if count == cap:
-                return count
+                return count, cover
             count += 1
             m = masks[(tier & -tier).bit_length() - 1] & live
+            cover |= m
             while m:
                 low = m & -m
                 m ^= low
                 rem &= ~inc[low.bit_length() - 1]
             tier &= rem
-    return count
+    return count, cover
 
 
 def greedy_transversal(h: Hypergraph) -> set[int]:
@@ -181,7 +187,7 @@ def matching_lower_bound(h: Hypergraph) -> int:
     matched edge."""
     masks, inc = _incidence(h.vertices, h.edges)
     rem, live = (1 << len(masks)) - 1, (1 << len(inc)) - 1
-    return _matching(masks, inc, (rem,), rem, live, len(masks))
+    return _matching(masks, inc, (rem,), rem, live, len(masks))[0]
 
 
 def _branch_vertex(inc: list[int], tiers: tuple[int, ...], rem: int, live: int) -> int:
@@ -214,9 +220,12 @@ def _root(masks: list[int], inc: list[int]) -> _Node:
     edge forces its vertex, and every other edge starts in the tier of
     its size.  Tier j holds the edges with exactly j + 2 live vertices;
     edges already hit may linger in a tier, so every use ANDs with rem.
-    The edges of each size come from the transpose of one-hot sizes."""
-    hots = [1 << m.bit_count() - 1 for m in masks]
-    units, *tiers = _transpose(hots, max(hots, default=1).bit_length())
+    The edges of each size are a column of the edges' one-hot sizes,
+    written out from prebuilt strings."""
+    sizes = list(map(int.bit_count, reversed(masks)))
+    width = max(sizes, default=1)
+    hot = [f"{1 << s >> 1:0{width}b}" for s in range(width + 1)]
+    units, *tiers = _columns("".join(map(hot.__getitem__, sizes)), width)
     rem, picked = (1 << len(masks)) - 1, 0
     while units:
         m = masks[(units & -units).bit_length() - 1]
@@ -271,13 +280,26 @@ def _search(
     then those with three, and so on.  It branches on _branch_vertex: the
     live vertex in the most edges of the lowest tier with an edge of rem
     left, ties to the most edges of rem, then to the smallest index.
+
+    Gap-one forcing: at a node with size + |M| + 1 == best_size, M the
+    node's matching and C its cover (the union of the matched edges'
+    live parts), an edge of rem with exactly one vertex in C forces that
+    vertex.  The matching stopped below its cap best_size - size, so it
+    is maximal and every edge of rem meets C.  A completion smaller than
+    the incumbent adds at most |M| vertices, and needs a distinct one in
+    each of the pairwise disjoint matched live parts, so it takes exactly
+    one vertex of each and none outside C; such an edge is hit only by
+    its one vertex of C.  A forced vertex is taken as in the "take"
+    child, which keeps the tiers, and the node is matched again, until
+    the bound prunes it, the gap grows or nothing more is forced.  As
+    every edge of rem meets C, a rule for edges missing C never fires.
     """
     expired = time.monotonic() >= deadline
     rem = (1 << len(masks)) - 1
     live = (1 << len(inc)) - 1
     best_mask = _greedy(inc, rem)
     best_size = best_mask.bit_count()
-    target = max(floor, _matching(masks, inc, (rem,), rem, live, len(masks)))
+    target = max(floor, _matching(masks, inc, (rem,), rem, live, len(masks))[0])
     if target >= best_size:
         return best_mask, best_size, nodes, False
     if expired:
@@ -291,22 +313,41 @@ def _search(
     # searched first.
     stack = [_root(masks, inc)]
     while stack:
-        node = stack.pop()
-        rem, live, picked, tiers = node
+        rem, live, picked, tiers = stack.pop()
         nodes += 1
         if nodes % check_every == 0 and time.monotonic() > deadline:
             timed_out = True
             break
         size = picked.bit_count()
+        count, cover = _matching(masks, inc, tiers, rem, live, best_size - size)
+        while size + count + 1 == best_size:
+            # gap one: an edge with a single vertex in the cover forces it
+            ones = twos = 0
+            rest = cover
+            while rest:
+                edges = inc[(rest & -rest).bit_length() - 1]
+                twos |= ones & edges
+                ones |= edges
+                rest &= rest - 1
+            unit = rem & ~twos
+            if not unit:
+                break
+            while unit:
+                bit = masks[(unit & -unit).bit_length() - 1] & cover
+                picked |= bit
+                rem &= ~inc[bit.bit_length() - 1]
+                unit &= rem
+            size = picked.bit_count()
+            count, cover = _matching(masks, inc, tiers, rem, live, best_size - size)
+        if size + count >= best_size:
+            continue
         if not rem:
-            if size < best_size:
-                best_size = size
-                best_mask = picked
-                if size <= target:
-                    break
+            best_size = size
+            best_mask = picked
+            if size <= target:
+                break
             continue
-        if size + _matching(masks, inc, tiers, rem, live, best_size - size) >= best_size:
-            continue
+        node = rem, live, picked, tiers
         stack.extend(_children(masks, inc, node, _branch_vertex(inc, tiers, rem, live)))
 
     return best_mask, target if timed_out else best_size, nodes, timed_out

@@ -164,9 +164,9 @@ def test_exact_matches_brute_force_on_random_hypergraphs():
 @pytest.mark.parametrize(
     "build, nodes, hitting_set",
     [
-        (lambda: cs_sphere(3, 14), 325, {s * v for v in (2, 6, 7, 10, 11, 14) for s in (1, -1)}),
-        (lambda: cs_sphere(4, 12), 119, {-10, -9, -6, -5, 4, 5, 9, 10}),
-        (lambda: cyclic_boundary(4, 20), 179, {1, 3, 5, 7, 9, 11, 13, 15, 17}),
+        (lambda: cs_sphere(3, 14), 219, {s * v for v in (2, 6, 7, 10, 11, 14) for s in (1, -1)}),
+        (lambda: cs_sphere(4, 12), 53, {-10, -9, -6, -5, 4, 5, 9, 10}),
+        (lambda: cyclic_boundary(4, 20), 127, {1, 3, 5, 7, 9, 11, 13, 15, 17}),
     ],
     ids=["cs-3-14", "cs-4-12", "cyclic-4-20"],
 )
@@ -189,15 +189,15 @@ def disjoint_copies(facets, copies):
 @pytest.mark.parametrize(
     "build, nodes, hitting_set",
     [
-        (lambda: cs_sphere(3, 14), 63, {s * v for v in (2, 6, 7, 10, 11, 14) for s in (1, -1)}),
-        (lambda: cs_sphere(4, 12), 25, {-10, -9, -6, -5, 4, 5, 9, 10}),
+        (lambda: cs_sphere(3, 14), 39, {s * v for v in (2, 6, 7, 10, 11, 14) for s in (1, -1)}),
+        (lambda: cs_sphere(4, 12), 13, {-10, -9, -6, -5, 4, 5, 9, 10}),
         # the floor is tau here and the greedy seed two above it, so the
         # search runs until its incumbent reaches the floor
-        (lambda: cs_sphere(4, 13), 56, {s * v for v in (5, 6, 10, 11) for s in (1, -1)}),
-        (lambda: cs_sphere(5, 16), 2726, {s * v for v in (2, 6, 7, 10, 11, 16) for s in (1, -1)}),
+        (lambda: cs_sphere(4, 13), 37, {s * v for v in (5, 6, 10, 11) for s in (1, -1)}),
+        (lambda: cs_sphere(5, 16), 1520, {s * v for v in (2, 6, 7, 10, 11, 16) for s in (1, -1)}),
         (
             lambda: PureComplex(disjoint_copies(cs_sphere(3, 9).facets, 3)),
-            372,
+            198,
             {-27, -24, -23, -22, -21, -18, -15, -14, -13, -12, -9, -6, -5, -4, -3,
              5, 6, 9, 14, 15, 18, 23, 24, 27},
         ),
@@ -430,6 +430,12 @@ def test_carried_tiers_match_a_recount(instance, steps):
         check_node(masks, node)
 
 
+def sewn(k, n):
+    """The sewing ball of sewing_antichain(k, n) planted in the cyclic
+    2k-sphere on n labels, as the cli's sewn family."""
+    return sew(cyclic_boundary(2 * k, n), relative_squeezed_ball(sewing_antichain(k, n)), n + 1)
+
+
 @pytest.mark.parametrize(
     "build, tau",
     [
@@ -439,12 +445,7 @@ def test_carried_tiers_match_a_recount(instance, steps):
         (lambda: PureComplex(signed_relabelling(cyclic_boundary(4, 20).facets)), 9),
         (lambda: PureComplex(disjoint_copies(cs_sphere(3, 9).facets, 3)), 24),
         (lambda: PureComplex(signed_relabelling(cyclic_boundary(4, 27).facets)), 13),
-        (
-            lambda: sew(
-                cyclic_boundary(6, 20), relative_squeezed_ball(sewing_antichain(3, 20)), 21
-            ),
-            9,
-        ),
+        (lambda: sewn(3, 20), 9),
     ],
     ids=[
         "cs-3-20", "cs-3-20-relabelled", "cyclic-4-20", "cyclic-4-20-relabelled",
@@ -456,6 +457,45 @@ def test_exact_agrees_with_the_milp_oracle(build, tau):
     assert milp_transversal(h.vertices, h.edges)[0] == tau
     cert = exact_transversal(h)
     assert cert.optimal and cert.upper_bound == tau
+    assert is_transversal(h, cert.hitting_set)
+
+
+def test_gap_one_forcing_solves_a_path_at_the_root():
+    # the path 4-2-1-3-5: the greedy seed takes the middle vertex 1, then
+    # two more.  The root matching {1,2}, {3,5} is one short of it, so
+    # {2,4}, whose only cover vertex is 2, forces 2; matched again, {1,3}
+    # is one short and {3,5} forces 3, which hits every edge at node 1
+    verts, edges = [1, 2, 3, 4, 5], [(1, 2), (1, 3), (2, 4), (3, 5)]
+    h = Hypergraph(verts, edges)
+    masks, inc = transversal._incidence(h.vertices, h.edges)
+    assert transversal._greedy(inc, (1 << len(masks)) - 1).bit_count() == 3
+    best, lower, count, timed_out = transversal._search(masks, inc, time.monotonic() + 60)
+    tau, _ = brute_force_transversal(verts, edges)
+    assert set(transversal._labels(best, h.vertices)) == {2, 3}
+    assert (lower, count, timed_out) == (tau, 1, False)
+
+
+@pytest.mark.parametrize(
+    "family, d, n",
+    [("cs", 3, n) for n in range(10, 15)]
+    + [("cs", 4, n) for n in range(10, 14)]
+    + [("cyclic", 4, n) for n in range(16, 21)]
+    + [("sewn", 3, n) for n in range(12, 15)],
+)
+def test_relabelled_rungs_agree_with_the_milp_oracle(family, d, n, cs_cache):
+    # the gap-one rule reads no label, so it stays exact under any signed
+    # relabelling, where the search runs many more nodes than at the
+    # natural labels
+    build = {
+        "cs": lambda: cs_sphere(d, n, cache=cs_cache),
+        "cyclic": lambda: cyclic_boundary(d, n),
+        "sewn": lambda: sewn(d, n),
+    }[family]
+    h = facet_hypergraph(PureComplex(signed_relabelling(build().facets)))
+    tau = milp_transversal(h.vertices, h.edges)[0]
+    cert = exact_transversal(h)
+    assert cert.optimal and not cert.timed_out
+    assert cert.lower_bound == cert.upper_bound == tau
     assert is_transversal(h, cert.hitting_set)
 
 
@@ -508,7 +548,8 @@ def test_zero_budget_returns_the_greedy_seed_and_matching_bound(cs_cache):
 
 
 def test_budget_covers_the_greedy_seed(monkeypatch, cs_cache):
-    h = facet_hypergraph(cs_sphere(3, 13, cache=cs_cache))
+    # the whole search must pass its first deadline check at node 512
+    h = facet_hypergraph(cs_sphere(3, 15, cache=cs_cache))
     assert exact_transversal(h).nodes_explored > 512
     now = [0.0]
     monkeypatch.setattr(transversal, "time", SimpleNamespace(monotonic=lambda: now[0]))
