@@ -11,19 +11,20 @@ vertex in the most edges not yet hit, ties to the smallest label: the
 search's branching rule below, with every edge not yet hit in one tier.
 
 The search is a deterministic branch and bound on an explicit stack: it
-seeds with the greedy cover, prunes with a greedy matching lower bound,
-and propagates unit edges.  Each node carries its edges in tiers by live
-vertex count.  Taking a vertex never shrinks an edge that is left, so
-that child keeps the tiers, and units appear only at the root and in the
-child that excludes the branching vertex, whose edges move down a tier.
-The matching at a node takes the edges with two live vertices first,
-then those with three, and so on.  When it is one short of the
-incumbent, a smaller hitting set takes exactly one vertex of each
-matched edge and none outside them, so an edge with a single vertex in
-the matched edges forces it (gap-one forcing).  The search branches on
-the live vertex in the most edges of the lowest tier with an edge left
-(MOMS: most occurrences in clauses of minimum size), ties to the most
-edges not yet hit, then to the smallest label.
+seeds with the greedy cover and prunes with a greedy matching lower
+bound.  Each node carries its edges in tiers by live vertex count, tier
+j the edges with j + 1.  Taking a vertex never shrinks an edge that is
+left, so that child keeps the tiers; in the child that excludes the
+branching vertex its edges move down a tier.  A popped node takes its
+forced vertices in one step: a unit edge forces its live vertex, and
+when the matching (edges with two live vertices first, then three, and
+so on) is one short of the incumbent, a smaller hitting set takes
+exactly one vertex of each matched edge and none outside them, so an
+edge with a single vertex in the matched edges forces it (gap-one
+forcing).  The search branches on the live vertex in the most edges of
+the lowest tier with an edge left (MOMS: most occurrences in clauses of
+minimum size), ties to the most edges not yet hit, then to the smallest
+label.
 
 The exact solver wraps that search in one recursion over vertex blocks,
 with one rule: for disjoint blocks V_1..V_k, tau(H) >= sum of tau(H[V_i]),
@@ -216,50 +217,32 @@ _Node = tuple[int, int, int, tuple[int, ...]]
 
 
 def _root(masks: list[int], inc: list[int]) -> _Node:
-    """The search's root node (rem, live, picked, tiers): a one-vertex
-    edge forces its vertex, and every other edge starts in the tier of
-    its size.  Tier j holds the edges with exactly j + 2 live vertices;
-    edges already hit may linger in a tier, so every use ANDs with rem.
-    The edges of each size are a column of the edges' one-hot sizes,
-    written out from prebuilt strings."""
+    """The search's root node (rem, live, picked, tiers): nothing picked,
+    and every edge in the tier of its size.  Tier j holds the edges with
+    exactly j + 1 live vertices, tier 0 the unit edges; edges already hit
+    may linger in a tier, so every use ANDs with rem.  The edges of each
+    size are a column of the edges' one-hot sizes, written out from
+    prebuilt strings."""
     sizes = list(map(int.bit_count, reversed(masks)))
     width = max(sizes, default=1)
     hot = [f"{1 << s >> 1:0{width}b}" for s in range(width + 1)]
-    units, *tiers = _columns("".join(map(hot.__getitem__, sizes)), width)
-    rem, picked = (1 << len(masks)) - 1, 0
-    while units:
-        m = masks[(units & -units).bit_length() - 1]
-        picked |= m
-        rem &= ~inc[m.bit_length() - 1]
-        units &= units - 1
-    return rem, (1 << len(inc)) - 1 & ~picked, picked, tuple(tiers)
+    tiers = _columns("".join(map(hot.__getitem__, sizes)), width)
+    return (1 << len(masks)) - 1, (1 << len(inc)) - 1, 0, tuple(tiers)
 
 
-def _children(masks: list[int], inc: list[int], node: _Node, v: int) -> tuple[_Node, _Node]:
-    """The children of a node on its live vertex v: without v, its forced
-    vertices taken, and with v.  Every edge of rem has two or more live
-    vertices, in both children too.  Taking a vertex changes no live
-    count of an edge that is left, so that child keeps the tiers.
-    Without v, each edge of v moves down a tier, and an edge of v with
-    one other live vertex forces that one; forced vertices only delete
-    edges."""
+def _children(inc: list[int], node: _Node, v: int) -> tuple[_Node, _Node]:
+    """The children of a node on its live vertex v: without v, and with
+    v.  Taking a vertex changes no live count of an edge that is left,
+    so that child keeps the tiers.  Without v, each edge of v moves down
+    a tier, and an edge of v with one other live vertex becomes a unit
+    edge of tier 0, which _search forces when it pops the child."""
     rem, live, picked, tiers = node
     bit = 1 << v
     live &= ~bit
     cut = inc[v] & rem
     down = [t & ~cut | above & cut for t, above in zip(tiers, tiers[1:])]
     down.append(tiers[-1] & ~cut)
-    unit = tiers[0] & cut
-    without_rem, without_picked = rem, picked
-    while unit:
-        u = (masks[(unit & -unit).bit_length() - 1] & live).bit_length() - 1
-        without_picked |= 1 << u
-        without_rem &= ~inc[u]
-        unit &= without_rem
-    return (
-        (without_rem, live & ~without_picked, without_picked, tuple(down)),
-        (rem & ~inc[v], live, picked | bit, tiers),
-    )
+    return (rem, live, picked, tuple(down)), (rem & ~inc[v], live, picked | bit, tiers)
 
 
 def _search(
@@ -275,11 +258,13 @@ def _search(
     proven lower bound, the running node count and whether the deadline
     stopped the search.
 
-    A node carries its edges in tiers by live vertex count (_root), and
-    its matching bound takes the edges with two live vertices first,
-    then those with three, and so on.  It branches on _branch_vertex: the
-    live vertex in the most edges of the lowest tier with an edge of rem
-    left, ties to the most edges of rem, then to the smallest index.
+    A node carries its edges in tiers by live vertex count (_root).  When
+    it is popped, one loop takes its forced vertices: an edge of rem with
+    a single vertex in `within` forces it, lowest edge first, `within`
+    being the live vertices (the unit edges of tier 0) and then, at gap
+    one, the cover below.  Taking a vertex changes no live count of an
+    edge of rem, so tier 0 holds none of rem when the node is matched or
+    branched on.  It branches on _branch_vertex (see there).
 
     Gap-one forcing: at a node with size + |M| + 1 == best_size, M the
     node's matching and C its cover (the union of the matched edges'
@@ -289,10 +274,10 @@ def _search(
     the incumbent adds at most |M| vertices, and needs a distinct one in
     each of the pairwise disjoint matched live parts, so it takes exactly
     one vertex of each and none outside C; such an edge is hit only by
-    its one vertex of C.  A forced vertex is taken as in the "take"
-    child, which keeps the tiers, and the node is matched again, until
-    the bound prunes it, the gap grows or nothing more is forced.  As
-    every edge of rem meets C, a rule for edges missing C never fires.
+    its one vertex of C.  After the forced vertices are taken the node
+    is matched again, until the bound prunes it, the gap grows or
+    nothing more is forced.  As every edge of rem meets C, a rule for
+    edges missing C never fires.
     """
     expired = time.monotonic() >= deadline
     rem = (1 << len(masks)) - 1
@@ -318,9 +303,18 @@ def _search(
         if nodes % check_every == 0 and time.monotonic() > deadline:
             timed_out = True
             break
-        size = picked.bit_count()
-        count, cover = _matching(masks, inc, tiers, rem, live, best_size - size)
-        while size + count + 1 == best_size:
+        unit, within = tiers[0] & rem, live
+        while True:
+            while unit:
+                bit = masks[(unit & -unit).bit_length() - 1] & within
+                picked |= bit
+                live &= ~bit
+                rem &= ~inc[bit.bit_length() - 1]
+                unit &= rem
+            size = picked.bit_count()
+            count, cover = _matching(masks, inc, tiers, rem, live, best_size - size)
+            if size + count + 1 != best_size:
+                break
             # gap one: an edge with a single vertex in the cover forces it
             ones = twos = 0
             rest = cover
@@ -329,16 +323,9 @@ def _search(
                 twos |= ones & edges
                 ones |= edges
                 rest &= rest - 1
-            unit = rem & ~twos
+            unit, within = rem & ~twos, cover
             if not unit:
                 break
-            while unit:
-                bit = masks[(unit & -unit).bit_length() - 1] & cover
-                picked |= bit
-                rem &= ~inc[bit.bit_length() - 1]
-                unit &= rem
-            size = picked.bit_count()
-            count, cover = _matching(masks, inc, tiers, rem, live, best_size - size)
         if size + count >= best_size:
             continue
         if not rem:
@@ -347,8 +334,7 @@ def _search(
             if size <= target:
                 break
             continue
-        node = rem, live, picked, tiers
-        stack.extend(_children(masks, inc, node, _branch_vertex(inc, tiers, rem, live)))
+        stack.extend(_children(inc, (rem, live, picked, tiers), _branch_vertex(inc, tiers, rem, live)))
 
     return best_mask, target if timed_out else best_size, nodes, timed_out
 

@@ -65,19 +65,12 @@ def incidence_by_loop(vertices, edges):
 
 def root_by_loop(masks, inc):
     """The solver's root node (rem, live, picked, tiers), one edge at a
-    time: a one-vertex edge is picked and its vertex's edges leave rem,
-    and an edge of c >= 2 vertices goes into tiers[c - 2], which run up
-    to the largest edge."""
-    rem = (1 << len(masks)) - 1
-    picked = 0
-    tiers = [0] * (max((m.bit_count() for m in masks), default=1) - 1)
+    time: every edge left, every vertex live, nothing picked, and an edge
+    of c vertices in tiers[c - 1], which run up to the largest edge."""
+    tiers = [0] * max((m.bit_count() for m in masks), default=1)
     for j, m in enumerate(masks):
-        if m.bit_count() == 1:
-            picked |= m
-            rem &= ~inc[m.bit_length() - 1]
-        else:
-            tiers[m.bit_count() - 2] |= 1 << j
-    return rem, (1 << len(inc)) - 1 & ~picked, picked, tuple(tiers)
+        tiers[m.bit_count() - 1] |= 1 << j
+    return (1 << len(masks)) - 1, (1 << len(inc)) - 1, 0, tuple(tiers)
 
 
 def milp_transversal(vertices, edges):
