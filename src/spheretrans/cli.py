@@ -140,7 +140,7 @@ def _parse_checks(spec: str) -> list[tuple[str, int | None]]:
         if name not in CHECK_NAMES:
             raise UsageError(f"unknown check {name!r}")
         if name in ("neighborly", "cs-neighborly"):
-            if not arg.isdigit() or int(arg) < 1:
+            if not arg.isdecimal() or int(arg) < 1:
                 raise UsageError(f"check {name} needs =K with K >= 1")
             out.append((name, int(arg)))
         else:

@@ -313,13 +313,12 @@ def is_closed_pseudomanifold(delta: PureComplex) -> PseudomanifoldReport:
             ridge = (code >> head) << shift | code & keep
             if (a := first.setdefault(ridge, j)) != j:
                 repeats[ridge] = repeats.get(ridge, 0) + 1
-                # join the roots of a and j, halving their paths
-                b = j
+                # j roots its own tree while its ridges are read (only
+                # earlier roots are hung under it): hang a's root under j,
+                # halving a's path
                 while parent[a] != a:
                     parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                parent[a] = b
+                parent[a] = j
     # int order of ridge codes is the lex order of their labels; a ridge
     # has the fields of drops[1:]
     field = (1 << s) - 1

@@ -56,7 +56,9 @@ def cs_sphere(d: int, n: int, *, cache: dict | None = None) -> PureComplex:
     d, n : int
         Dimension d >= 1 and label range n >= d + 1.
     cache : dict, optional
-        Memo table; defaults to a module-wide shared one.
+        Memo table; defaults to a module-wide shared one, which keeps
+        every rung and ball built in the process (each rung a full facet
+        set) for the process's lifetime.  cache={} ties them to one call.
     """
     if d < 1:
         raise InvalidParameters("sphere dimension must be >= 1")
@@ -68,7 +70,9 @@ def cs_sphere(d: int, n: int, *, cache: dict | None = None) -> PureComplex:
 def cs_ball(d: int, i: int, n: int, *, cache: dict | None = None) -> PureComplex:
     """The i-th ball of the sewing recursion, a d-ball for 0 <= i <= ceil(d/2).
 
-    EMPTY when i < 0.
+    EMPTY when i < 0.  cache is the memo table as in cs_sphere: the
+    default shared one keeps every rung and ball built for the process's
+    lifetime, cache={} ties them to one call.
     """
     if d < 1:
         raise InvalidParameters("ball dimension must be >= 1")

@@ -21,10 +21,10 @@ when the matching (edges with two live vertices first, then three, and
 so on) is one short of the incumbent, a smaller hitting set takes
 exactly one vertex of each matched edge and none outside them, so an
 edge with a single vertex in the matched edges forces it (gap-one
-forcing).  The search branches on the live vertex in the most edges of
-the lowest tier with an edge left (MOMS: most occurrences in clauses of
-minimum size), ties to the most edges not yet hit, then to the smallest
-label.
+forcing).  The matching also returns the edges its cover meets twice.
+The search branches on the live vertex in the most edges of the lowest
+tier with an edge left (MOMS: most occurrences in clauses of minimum
+size), ties to the most edges not yet hit, then to the smallest label.
 
 The exact solver wraps that search in one recursion over vertex blocks,
 with one rule: for disjoint blocks V_1..V_k, tau(H) >= sum of tau(H[V_i]),
@@ -35,7 +35,9 @@ on its edges of one sign (the positive ones alone, doubled, when
 negation maps them onto the rest), and its search stops as soon as the
 incumbent reaches that floor; on cs 3-spheres with an even n it is
 already the greedy cover's size.  A wall-clock budget covers the whole
-call, and a timeout reports the best lower bound proven by then: per
+call.  The search reads the clock before every pop; once the deadline
+has passed, each search left computes only its greedy seed and root
+matching.  A timeout reports the best lower bound proven by then: per
 component, the root matching or the floor, added up.
 """
 
@@ -151,27 +153,31 @@ def _greedy(inc: list[int], rem: int) -> int:
 
 def _matching(
     masks: list[int], inc: list[int], tiers: Iterable[int], rem: int, live: int, cap: int
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """Size, capped at cap, of a greedy pairwise-disjoint collection of
     the edges of rem restricted to live: the lowest edge of the first
     tier first, then of the next tier, and so on.  Also the cover, the
-    union of the matched edges' live parts.  Below the cap the matching
-    is maximal: every edge of rem in the tiers meets the cover."""
-    count = cover = 0
+    union of the matched edges' live parts, and twos, the edges with two
+    or more vertices in the cover.  Below the cap the matching is
+    maximal: every edge of rem in the tiers meets the cover."""
+    count = cover = ones = twos = 0
     for tier in tiers:
         tier &= rem
         while tier:
             if count == cap:
-                return count, cover
+                return count, cover, twos
             count += 1
             m = masks[(tier & -tier).bit_length() - 1] & live
             cover |= m
             while m:
                 low = m & -m
                 m ^= low
-                rem &= ~inc[low.bit_length() - 1]
+                edges = inc[low.bit_length() - 1]
+                twos |= ones & edges
+                ones |= edges
+            rem &= ~ones
             tier &= rem
-    return count, cover
+    return count, cover, twos
 
 
 def greedy_transversal(h: Hypergraph) -> set[int]:
@@ -246,17 +252,16 @@ def _children(inc: list[int], node: _Node, v: int) -> tuple[_Node, _Node]:
 
 
 def _search(
-    masks: list[int], inc: list[int], deadline: float, floor: int = 0, nodes: int = 0
+    masks: list[int], inc: list[int], deadline: float, floor: int = 0
 ) -> tuple[int, int, int, bool]:
     """Branch and bound over every edge of masks.
 
     floor is a proven lower bound on the answer; the search stops as soon
-    as the incumbent reaches it or the root matching bound.  nodes counts
-    the nodes searched before this call, so the clock is read every 512
-    nodes of the whole solve, and a search entered after the deadline
-    returns the root.  Returns the mask of the best hitting set, the
-    proven lower bound, the running node count and whether the deadline
-    stopped the search.
+    as the incumbent reaches it or the root matching bound.  The clock
+    is read before every pop, so a search entered after the deadline, or
+    whose greedy seed outlasts it, returns the root.  Returns the mask of
+    the best hitting set, the proven lower bound, the number of nodes
+    popped and whether the deadline stopped the search.
 
     A node carries its edges in tiers by live vertex count (_root).  When
     it is popped, one loop takes its forced vertices: an edge of rem with
@@ -270,39 +275,33 @@ def _search(
     node's matching and C its cover (the union of the matched edges'
     live parts), an edge of rem with exactly one vertex in C forces that
     vertex.  The matching stopped below its cap best_size - size, so it
-    is maximal and every edge of rem meets C.  A completion smaller than
-    the incumbent adds at most |M| vertices, and needs a distinct one in
-    each of the pairwise disjoint matched live parts, so it takes exactly
-    one vertex of each and none outside C; such an edge is hit only by
-    its one vertex of C.  After the forced vertices are taken the node
-    is matched again, until the bound prunes it, the gap grows or
-    nothing more is forced.  As every edge of rem meets C, a rule for
-    edges missing C never fires.
+    is maximal and every edge of rem meets C; the edges of rem that
+    _matching did not find twice in C are the ones.  A completion
+    smaller than the incumbent adds at most |M| vertices, and needs a
+    distinct one in each of the pairwise disjoint matched live parts, so
+    it takes exactly one vertex of each and none outside C; such an edge
+    is hit only by its one vertex of C.  After the forced vertices are
+    taken the node is matched again, until the bound prunes it, the gap
+    grows or nothing more is forced.  As every edge of rem meets C, a
+    rule for edges missing C never fires.
     """
-    expired = time.monotonic() >= deadline
     rem = (1 << len(masks)) - 1
     live = (1 << len(inc)) - 1
     best_mask = _greedy(inc, rem)
     best_size = best_mask.bit_count()
     target = max(floor, _matching(masks, inc, (rem,), rem, live, len(masks))[0])
     if target >= best_size:
-        return best_mask, best_size, nodes, False
-    if expired:
-        return best_mask, target, nodes, True
+        return best_mask, best_size, 0, False
 
-    check_every = 512
-    timed_out = False
+    nodes = 0
     # A node is (rem, live, picked, tiers): the edges not yet hit, the
     # vertices neither picked nor excluded, the picked vertices and the
     # tiers.  Depth first; the "take" child is pushed last so it is
     # searched first.
     stack = [_root(masks, inc)]
-    while stack:
+    while stack and time.monotonic() < deadline:
         rem, live, picked, tiers = stack.pop()
         nodes += 1
-        if nodes % check_every == 0 and time.monotonic() > deadline:
-            timed_out = True
-            break
         unit, within = tiers[0] & rem, live
         while True:
             while unit:
@@ -312,17 +311,10 @@ def _search(
                 rem &= ~inc[bit.bit_length() - 1]
                 unit &= rem
             size = picked.bit_count()
-            count, cover = _matching(masks, inc, tiers, rem, live, best_size - size)
+            count, cover, twos = _matching(masks, inc, tiers, rem, live, best_size - size)
             if size + count + 1 != best_size:
                 break
             # gap one: an edge with a single vertex in the cover forces it
-            ones = twos = 0
-            rest = cover
-            while rest:
-                edges = inc[(rest & -rest).bit_length() - 1]
-                twos |= ones & edges
-                ones |= edges
-                rest &= rest - 1
             unit, within = rem & ~twos, cover
             if not unit:
                 break
@@ -332,11 +324,11 @@ def _search(
             best_size = size
             best_mask = picked
             if size <= target:
-                break
+                stack.clear()
             continue
         stack.extend(_children(inc, (rem, live, picked, tiers), _branch_vertex(inc, tiers, rem, live)))
 
-    return best_mask, target if timed_out else best_size, nodes, timed_out
+    return best_mask, target if stack else best_size, nodes, bool(stack)
 
 
 def _components(masks: list[int]) -> list[int]:
@@ -392,8 +384,8 @@ def _solve(
         _, floor, nodes, _ = _solve(vertices, one_sign, deadline, nodes, False)
         if mirrored:
             floor *= 2
-    best, lower, nodes, timed_out = _search(masks, inc, deadline, floor, nodes)
-    return _labels(best, vertices), lower, nodes, timed_out
+    best, lower, searched, timed_out = _search(masks, inc, deadline, floor)
+    return _labels(best, vertices), lower, nodes + searched, timed_out
 
 
 def exact_transversal(

@@ -7,13 +7,16 @@ matrices densely mod 2, and the stacked sphere oracle rescans every
 facet for the lex-smallest one at each step.  The lemma oracles count
 the facets containing a face by scanning every facet, and build the
 signed pair sets pair by pair.  The relative squeezed ball oracle
-subtracts the ball of the shifted antichain.  facet_lists draws small
-pure complexes as plain facet lists, and signed_relabelling applies one
-fixed signed relabelling that keeps antipodes antipodal.  The incidence
-oracles set the solver's bitsets one incidence and one edge at a time."""
+subtracts the ball of the shifted antichain, and the pseudomanifold
+oracle counts ridges in a Counter and walks the facets breadth first.
+facet_lists draws small pure complexes as plain facet lists, and
+signed_relabelling applies one fixed signed relabelling that keeps
+antipodes antipodal.  The incidence and matching oracles set and read
+the solver's bitsets one incidence and one edge at a time."""
 
 import itertools
 import random
+from collections import Counter, deque
 
 import numpy as np
 from hypothesis import strategies as hst
@@ -71,6 +74,23 @@ def root_by_loop(masks, inc):
     for j, m in enumerate(masks):
         tiers[m.bit_count() - 1] |= 1 << j
     return (1 << len(masks)) - 1, (1 << len(inc)) - 1, 0, tuple(tiers)
+
+
+def matching_by_loop(masks, tiers, rem, live, cap):
+    """The solver's tiered greedy matching, one edge at a time: for each
+    tier in turn, its edges of rem lowest first, match an edge when its
+    live part misses every matched one, until cap edges are matched.
+    Returns (count, cover), the cover the union of the matched live
+    parts."""
+    count = cover = 0
+    for tier in tiers:
+        for j, m in enumerate(masks):
+            if (tier & rem) >> j & 1 and not m & live & cover:
+                if count == cap:
+                    return count, cover
+                count += 1
+                cover |= m & live
+    return count, cover
 
 
 def milp_transversal(vertices, edges):
@@ -175,6 +195,25 @@ def relative_squeezed_ball_by_difference(s):
     """The antichain's squeezed ball minus the squeezed ball of its shift,
     two walks and one facet-set difference."""
     return relative_difference(squeezed_ball(s), squeezed_ball(shift_antichain(s)))
+
+
+def pseudomanifold_by_counter(facets):
+    """(connected, bad_ridges) of the closed-pseudomanifold check from
+    scratch: a Counter over the ridges of the canonical facets, the ones
+    not in exactly two facets in lex order, and a breadth-first search
+    over the facets that share a ridge."""
+    facets = sorted(facets)
+    ridges = [[f[:i] + f[i + 1 :] for i in range(len(f))] for f in facets]
+    count = Counter(r for rs in ridges for r in rs)
+    bad = tuple(sorted(r for r, c in count.items() if c != 2))
+    seen, queue = {0}, deque([0])
+    while queue:
+        j = queue.popleft()
+        for k, rs in enumerate(ridges):
+            if k not in seen and set(rs) & set(ridges[j]):
+                seen.add(k)
+                queue.append(k)
+    return len(seen) == len(facets), bad
 
 
 def gf2_rank_dense(matrix):

@@ -204,6 +204,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
     for checks, message in (
         ("neighborly", "check neighborly needs =K with K >= 1"),
+        ("neighborly=\u00b2", "check neighborly needs =K with K >= 1"),
         ("cs=3", "check cs takes no argument"),
         (",", "no checks given"),
     ):

@@ -3,10 +3,16 @@ import tracemalloc
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from helpers import cs_neighborly_by_enumeration, facet_lists, gf2_betti_dense, signed_relabelling
+from helpers import (
+    cs_neighborly_by_enumeration,
+    facet_lists,
+    gf2_betti_dense,
+    pseudomanifold_by_counter,
+    signed_relabelling,
+)
 from spheretrans import (
     EMPTY,
     PureComplex,
@@ -251,6 +257,15 @@ def test_pseudomanifold_detects_disconnection():
     )
     rep = is_closed_pseudomanifold(two_circles)
     assert rep.ridges_ok and not rep.connected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(facet_lists())
+def test_pseudomanifold_matches_the_counter_oracle(facets):
+    delta = PureComplex(facets)
+    assume(delta.dimension >= 1)
+    rep = is_closed_pseudomanifold(delta)
+    assert (rep.connected, rep.bad_ridges) == pseudomanifold_by_counter(delta.facets)
 
 
 def test_pseudomanifold_needs_dimension_one():

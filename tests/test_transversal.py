@@ -11,6 +11,7 @@ from hypothesis import strategies as hst
 from helpers import (
     brute_force_transversal,
     incidence_by_loop,
+    matching_by_loop,
     milp_transversal,
     root_by_loop,
     signed_relabelling,
@@ -343,9 +344,9 @@ def test_unused_labels_leave_the_certificate_unchanged(instance, extra):
 def test_every_search_runs_on_the_labels_of_its_edges(instance):
     search = transversal._search
 
-    def checked_search(masks, inc, deadline, floor=0, nodes=0):
+    def checked_search(masks, inc, deadline, floor=0):
         assert 0 not in inc  # each label is on an edge of this search
-        return search(masks, inc, deadline, floor, nodes)
+        return search(masks, inc, deadline, floor)
 
     h = Hypergraph(*instance)
     with pytest.MonkeyPatch.context() as patch:
@@ -435,6 +436,19 @@ def check_node(masks, node):
     assert [t & rem for t in tiers] == recount
 
 
+def check_matching(masks, inc, node):
+    """_matching at every cap up to one past the full matching agrees
+    with the loop oracle, and its twos are exactly the edges of rem with
+    two or more vertices in the cover it returns."""
+    rem, live, _, tiers = node
+    full, _ = matching_by_loop(masks, tiers, rem, live, len(masks))
+    for cap in range(full + 2):
+        count, cover, twos = transversal._matching(masks, inc, tiers, rem, live, cap)
+        assert (count, cover) == matching_by_loop(masks, tiers, rem, live, cap)
+        hit_twice = [j for j, m in enumerate(masks) if (m & cover).bit_count() >= 2]
+        assert twos & rem == sum(1 << j for j in hit_twice if rem >> j & 1)
+
+
 def take_units_by_loop(masks, inc, node):
     """The node after its unit edges force their live vertex, one edge at
     a time, lowest first, skipping the edges hit by then; the tiers stay."""
@@ -456,15 +470,17 @@ def take_units_by_loop(masks, inc, node):
 def test_carried_tiers_match_a_recount(instance, steps):
     # the search never counts live vertices per edge; it carries the tiers
     # from the root through every take and without step, takes the unit
-    # edges of tier 0 when it pops a node, and branches on the vertex the
-    # tiers single out
+    # edges of tier 0 when it pops a node, matches by the tiers and
+    # branches on the vertex the tiers single out
     h = Hypergraph(*instance)
     assume(h.edges)
     masks, inc = transversal._incidence(h.vertices, h.edges)
     node = transversal._root(masks, inc)
     check_node(masks, node)
+    check_matching(masks, inc, node)
     node = take_units_by_loop(masks, inc, node)
     check_node(masks, node)
+    check_matching(masks, inc, node)
     for take, pick in steps:
         rem, live, picked, tiers = node
         if not rem:
@@ -483,8 +499,10 @@ def test_carried_tiers_match_a_recount(instance, steps):
         assert without[3][0] & rem == units
         node = with_v if take else without
         check_node(masks, node)
+        check_matching(masks, inc, node)
         node = take_units_by_loop(masks, inc, node)
         check_node(masks, node)
+        check_matching(masks, inc, node)
 
 
 def sewn(k, n):
@@ -605,9 +623,11 @@ def test_zero_budget_returns_the_greedy_seed_and_matching_bound(cs_cache):
 
 
 def test_budget_covers_the_greedy_seed(monkeypatch, cs_cache):
-    # the whole search must pass its first deadline check at node 512
+    # given the time, the whole search pops nodes of its own
     h = facet_hypergraph(cs_sphere(3, 15, cache=cs_cache))
     assert exact_transversal(h).nodes_explored > 512
+    positive = tuple(v for v in h.vertices if v > 0)
+    block = exact_transversal(Hypergraph(positive, [e for e in h.edges if e[0] > 0]))
     now = [0.0]
     monkeypatch.setattr(transversal, "time", SimpleNamespace(monotonic=lambda: now[0]))
     branch_vertex = transversal._branch_vertex
@@ -621,7 +641,9 @@ def test_budget_covers_the_greedy_seed(monkeypatch, cs_cache):
     monkeypatch.setattr(transversal, "_branch_vertex", slow_branch_vertex)
     cert = exact_transversal(h, time_budget=10.0)
     assert cert.timed_out and not cert.optimal
-    assert cert.nodes_explored == 512  # stopped at the first deadline check
+    # the clock is read before the whole search's first pop, so only the
+    # positive block's nodes are counted
+    assert cert.nodes_explored == block.nodes_explored
     assert is_transversal(h, cert.hitting_set)
 
 
@@ -635,8 +657,8 @@ def test_deadline_inside_the_block_stage_keeps_the_block_bound(monkeypatch, cs_c
     search = transversal._search
     searched = []
 
-    def slow_search(masks, inc, deadline, floor=0, nodes=0):
-        out = search(masks, inc, deadline, floor, nodes)
+    def slow_search(masks, inc, deadline, floor=0):
+        out = search(masks, inc, deadline, floor)
         searched.append(len(masks))
         now[0] = 100.0  # the block of positive labels uses up the budget
         return out
